@@ -130,6 +130,7 @@ type filterIter struct {
 	ev    *Evaluator
 	child iter
 	cond  algebra.Cond
+	keep  []bool // per-batch verdicts, reused across batches
 }
 
 func (ev *Evaluator) newFilterIter(child iter, cond algebra.Cond) (*filterIter, error) {
@@ -150,17 +151,27 @@ func (it *filterIter) next() ([]table.Row, error) {
 		if err := it.ev.charge("filter", int64(len(batch))); err != nil {
 			return nil, err
 		}
-		var out []table.Row
+		// Verdicts first, then one exactly sized output: the output
+		// batch is the filter's only allocation.
+		keep, n := it.keep[:0], 0
 		for _, r := range batch {
 			v, err := it.ev.evalCond(it.cond, r)
 			if err != nil {
 				return nil, err
 			}
+			keep = append(keep, v.IsTrue())
 			if v.IsTrue() {
-				out = append(out, r)
+				n++
 			}
 		}
-		if len(out) > 0 {
+		it.keep = keep
+		if n > 0 {
+			out := make([]table.Row, 0, n)
+			for i, r := range batch {
+				if keep[i] {
+					out = append(out, r)
+				}
+			}
 			return out, nil
 		}
 	}
@@ -387,7 +398,9 @@ func (it *semiProbeIter) isIter()    {}
 // a fully materialized table — a hash-build input, a shared view, a
 // sort or aggregation result — into the enclosing pipeline. The
 // table's memory charge is owned by the frame that materialized it
-// (see drainExpr), not by the iterator.
+// (see drainExpr), not by the iterator. A build-left semijoin's answer
+// (reverseSemi) also streams through one; its rows are rows of the
+// buffered probe side, so it adds no charge of its own.
 type bufferedIter struct {
 	t   *table.Table
 	off int

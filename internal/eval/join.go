@@ -323,23 +323,29 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	return out, nil
 }
 
-// hashJoin joins l and r on equality of the given column lists. Under
-// SQL3VL semantics rows with null key values cannot match (A = NULL is
-// unknown) and are skipped; under naive semantics marked nulls join by
-// their marks, which the key encoding preserves.
+// hashJoin joins l and r on equality of the given column lists. Output
+// rows are l ++ r, ordered by l row and, within one l row, by ascending
+// r row: the order of a nested loop over l, then r. The hash index
+// (hashindex.go) goes on the smaller input — r on ties, and always r
+// under sharded execution. Building on r probes l in order; building on
+// l scans r in order and collects match pairs, which a stable counting
+// sort by l row puts back into the same order. Either way the operator
+// charges |l| + |r| + one unit per output row, so results, Stats and
+// budget trips do not depend on the orientation. Under SQL3VL rows with
+// null key values cannot match (A = NULL is unknown); under naive
+// semantics marked nulls join by their marks, which the keys preserve.
 func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Table, error) {
-	sqlMode := ev.opts.Semantics == value.SQL3VL
 	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
 		return nil, err
 	}
-	idx := make(map[string][]int, r.Len())
-	for i, rr := range r.Rows() {
-		if sqlMode && anyNull(rr, rCols) {
-			continue
-		}
-		k := value.TupleKey(rr, rCols)
-		idx[k] = append(idx[k], i)
+	if l.Len() < r.Len() && ev.opts.shardCount() == 1 {
+		return ev.hashJoinBuildLeft(l, r, lCols, rCols)
 	}
+	idx, err := ev.buildIndex(r.Rows(), rCols, r.Len(), nil)
+	if err != nil {
+		return nil, err
+	}
+	ev.note("hash join build=right %d rows, probe %d rows (numkey=%v)", r.Len(), l.Len(), idx.numeric())
 	// Probe partitions of l in parallel; a shared row counter enforces
 	// the budget across partitions and cancels in-flight ones.
 	arity := l.Arity() + r.Arity()
@@ -347,7 +353,7 @@ func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Tab
 	chunks := make([][]table.Row, ev.opts.workers())
 	maxRows := int64(ev.gov.MaxRows())
 	var outRows atomic.Int64
-	err := ev.runChunks(l.Len(), "hash-join", func(c *chunk) error {
+	err = ev.runChunks(l.Len(), "hash-join", func(c *chunk) error {
 		var out []table.Row
 		for i := c.lo; i < c.hi; i++ {
 			if c.stopped() {
@@ -355,18 +361,14 @@ func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Tab
 			}
 			lr := lRows[i]
 			c.st.costUnits++
-			if sqlMode && anyNull(lr, lCols) {
-				continue
-			}
-			for _, ri := range idx[value.TupleKey(lr, lCols)] {
+			for _, ri := range idx.lookup(lr, lCols, &c.key) {
 				c.st.costUnits++
 				nr := make(table.Row, 0, arity)
 				nr = append(nr, lr...)
-				nr = append(nr, r.Row(ri)...)
+				nr = append(nr, r.Row(int(ri))...)
 				out = append(out, nr)
 				if outRows.Add(1) > maxRows {
-					return &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: "hash-join",
-						Detail: fmt.Sprintf("result exceeds %d rows", maxRows)}
+					return joinBudgetError(maxRows)
 				}
 			}
 		}
@@ -380,6 +382,96 @@ func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Tab
 		return nil, err
 	}
 	return concatChunks(ev.gov, arity, chunks)
+}
+
+// joinPair is one match of the build-left join: l row and r row ids.
+type joinPair struct{ l, r int32 }
+
+// hashJoinBuildLeft is hashJoin's build-left orientation: the index
+// goes on l and partitions of r are scanned in parallel, each
+// collecting its match pairs in r order. Concatenated in partition
+// order the pairs ascend by r; a stable counting sort by l row then
+// yields the build-right output order exactly.
+func (ev *Evaluator) hashJoinBuildLeft(l, r *table.Table, lCols, rCols []int) (*table.Table, error) {
+	idx, err := ev.buildIndex(l.Rows(), lCols, l.Len(), nil)
+	if err != nil {
+		return nil, err
+	}
+	ev.note("hash join build=left %d rows, probe %d rows (numkey=%v)", l.Len(), r.Len(), idx.numeric())
+	rRows := r.Rows()
+	parts := make([][]joinPair, ev.opts.workers())
+	maxRows := int64(ev.gov.MaxRows())
+	var outRows atomic.Int64
+	err = ev.runChunks(r.Len(), "hash-join", func(c *chunk) error {
+		var out []joinPair
+		for j := c.lo; j < c.hi; j++ {
+			if c.stopped() {
+				return nil
+			}
+			c.st.costUnits++
+			for _, i := range idx.lookup(rRows[j], rCols, &c.key) {
+				c.st.costUnits++
+				out = append(out, joinPair{l: i, r: int32(j)})
+				if outRows.Add(1) > maxRows {
+					return joinBudgetError(maxRows)
+				}
+			}
+		}
+		parts[c.part] = out
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := ev.charge("hash-join", int64(l.Len())); err != nil {
+		return nil, err
+	}
+	// Counting sort: end[i] starts as the first slot of l row i's
+	// matches and ends one past its last.
+	end := make([]int32, l.Len()+1)
+	for _, ps := range parts {
+		for _, p := range ps {
+			end[p.l+1]++
+		}
+	}
+	for i := 0; i < l.Len(); i++ {
+		end[i+1] += end[i]
+	}
+	n := int(end[l.Len()])
+	order := make([]int32, n)
+	for _, ps := range parts {
+		for _, p := range ps {
+			order[end[p.l]] = p.r
+			end[p.l]++
+		}
+	}
+	arity := l.Arity() + r.Arity()
+	out := table.New(arity)
+	out.Grow(n)
+	slab := make([]value.Value, n*arity) // one allocation for every output row
+	k, lo := 0, int32(0)
+	for i, lr := range l.Rows() {
+		for _, j := range order[lo:end[i]] {
+			if k&1023 == 0 {
+				if err := ev.gov.Poll("hash-join"); err != nil {
+					return nil, err
+				}
+			}
+			nr := slab[k*arity : (k+1)*arity : (k+1)*arity]
+			copy(nr, lr)
+			copy(nr[len(lr):], rRows[j])
+			out.Append(nr)
+			k++
+		}
+		lo = end[i]
+	}
+	return out, nil
+}
+
+// joinBudgetError reports a join result past the row budget.
+func joinBudgetError(maxRows int64) error {
+	return &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: "hash-join",
+		Detail: fmt.Sprintf("result exceeds %d rows", maxRows)}
 }
 
 func anyNull(r table.Row, cols []int) bool {
@@ -400,27 +492,30 @@ func semiCond(e algebra.SemiJoin) algebra.Cond {
 }
 
 // semiPlan is the buffered state of a correlated (anti-)semijoin: the
-// built right side, the resolved condition, and the chosen strategy.
-// Both engines build it with prepSemi and probe it with probeSemi; the
-// materializing engine probes the whole left side at once, the
-// streaming engine one batch at a time.
+// evaluated right side, the resolved condition, and the chosen
+// strategy. Both engines build it with prepSemi. A keyed plan then
+// either indexes its right side (buildSemi) and is probed with
+// probeSemi — the materializing engine probes the whole left side at
+// once, the streaming engine one batch at a time — or, when the left
+// side is already materialized and smaller, answers in one pass that
+// indexes the left side instead (reverseSemi).
 type semiPlan struct {
 	anti    bool
 	nL      int
 	name    string // "semijoin" or "antijoin"
 	cond    algebra.Cond
 	trivial bool // verify condition is constant true: key presence alone decides
+	slim    bool // the SlimVerify hint applied (trace notes only)
 	r       *table.Table
-	idx     map[string][]int // hash buckets over r; nil selects nested loop
-	numIdx  map[numKey][]int // specialized numeric buckets (NumKey hint); nil = use idx
-	// Trivial-verify set indexes: when the verify condition is constant
-	// true the bucket contents are never read, so the build stores only
-	// key presence — no per-key slice appends, no row indexes.
-	numSet  map[numKey]struct{}
-	strSet  map[string]struct{}
-	lCol    int   // probe column for numIdx/numSet
-	lCols   []int // probe-side key columns (hash strategy only)
-	sqlMode bool
+	// fuse is the FuseBuild hint's build-side filter, still to be
+	// applied to r's rows as they are indexed or scanned; nil when
+	// there is none or it was applied eagerly.
+	fuse algebra.Cond
+	// lCols and rCols are the extracted hash-key columns, probe side
+	// and build side; empty selects the nested loop.
+	lCols, rCols []int
+	size         int        // pre-size for an index over r
+	idx          *hashIndex // index over r, set by buildSemi
 	// uni is the keyed co-partition of the build side on a nested-loop
 	// plan's unification edge — built only under sharded execution
 	// (copartition.go); uniCol is the probe-side key column.
@@ -428,19 +523,20 @@ type semiPlan struct {
 	uniCol int
 }
 
-// prepSemi evaluates the right side and builds the probe plan:
-// extracts pure equality conjuncts spanning both sides as hash keys,
+// prepSemi evaluates the right side and plans the operator: extracts
+// pure equality conjuncts spanning both sides as hash keys and
 // resolves scalar subqueries in the condition (workers verify it, so
-// substitution must happen on this goroutine), and builds the hash
-// index when a key exists. The strategy counter is bumped here — one
-// per operator, whichever engine probes.
+// substitution must happen on this goroutine). Keyed plans are
+// finished by buildSemi or reverseSemi, once the caller knows whether
+// the left side is materialized; the nested-loop strategy is complete
+// here, and its counter is bumped here.
 //
 // Under the FuseBuild hint a Select build side is not materialized:
 // its child is evaluated directly and the selection condition is
-// applied inside the build loop, so only the index ever holds the
-// filtered rows. Fusion is skipped when the select subtree is a
-// shared view — evaluating around it would lose the cache entry other
-// plan occurrences rely on.
+// applied while the index is built (or, reversed, while r is scanned),
+// so no filtered copy of r is ever held. Fusion is skipped when the
+// select subtree is a shared view — evaluating around it would lose
+// the cache entry other plan occurrences rely on.
 func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan, error) {
 	nL := e.L.Arity()
 	hint := ev.semiHint(e.Key)
@@ -462,8 +558,7 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 			return nil, err
 		}
 	}
-	p := &semiPlan{anti: e.Anti, nL: nL, name: "semijoin", r: r,
-		sqlMode: ev.opts.Semantics == value.SQL3VL}
+	p := &semiPlan{anti: e.Anti, nL: nL, name: "semijoin", r: r, slim: hint.SlimVerify}
 	if e.Anti {
 		p.name = "antijoin"
 	}
@@ -472,7 +567,6 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 	// keeping the conjuncts that were NOT consumed as keys: when the
 	// planner's SlimVerify hint applies, the residual alone is verified
 	// per candidate (bucket co-membership already proves the keys equal).
-	var lCols, rCols []int
 	var residual []algebra.Cond
 	if !ev.opts.NoHashJoin {
 		for _, c := range algebra.Conjuncts(cond) {
@@ -482,12 +576,12 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 				if aok && bok {
 					switch {
 					case a.Idx < nL && b.Idx >= nL:
-						lCols = append(lCols, a.Idx)
-						rCols = append(rCols, b.Idx-nL)
+						p.lCols = append(p.lCols, a.Idx)
+						p.rCols = append(p.rCols, b.Idx-nL)
 						continue
 					case b.Idx < nL && a.Idx >= nL:
-						lCols = append(lCols, b.Idx)
-						rCols = append(rCols, a.Idx-nL)
+						p.lCols = append(p.lCols, b.Idx)
+						p.rCols = append(p.rCols, a.Idx-nL)
 						continue
 					}
 				}
@@ -495,116 +589,32 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 			residual = append(residual, c)
 		}
 	}
+	keyed := len(p.lCols) > 0
 	verify := cond
-	if hint.SlimVerify && len(lCols) > 0 {
+	if hint.SlimVerify && keyed {
 		verify = algebra.NewAnd(residual...)
 	}
 	if p.cond, err = ev.resolveScalars(verify); err != nil {
 		return nil, err
 	}
-	if _, isTrue := p.cond.(algebra.TrueCond); isTrue && hint.SlimVerify && len(lCols) > 0 {
+	if _, isTrue := p.cond.(algebra.TrueCond); isTrue && hint.SlimVerify && keyed {
 		p.trivial = true
 	}
-	if fuse != nil && len(lCols) == 0 {
+	if keyed {
+		p.fuse = fuse
+		p.size = r.Len()
+		if hint.BuildDistinct > 0 && hint.BuildDistinct < int64(p.size) {
+			p.size = int(hint.BuildDistinct)
+		}
+		return p, nil
+	}
+	if fuse != nil {
 		// No hash keys extracted (hash joins disabled, or the condition
 		// carries none): the nested loop scans p.r directly, so the
 		// fused filter must be applied eagerly after all.
-		if r, err = ev.filterTable(r, fuse); err != nil {
+		if p.r, err = ev.filterTable(r, fuse); err != nil {
 			return nil, err
 		}
-		p.r, fuse = r, nil
-	}
-	// keep applies the fused build-side filter; rows it rejects never
-	// enter an index, matching the standalone filter byte for byte.
-	keep := func(rr table.Row) (bool, error) {
-		if fuse == nil {
-			return true, nil
-		}
-		v, err := ev.evalCond(fuse, rr)
-		if err != nil {
-			return false, err
-		}
-		return v.IsTrue(), nil
-	}
-
-	if len(lCols) > 0 {
-		// Hash strategy: probe buckets, verify the condition.
-		if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
-			return nil, err
-		}
-		size := r.Len()
-		if hint.BuildDistinct > 0 && hint.BuildDistinct < int64(size) {
-			size = int(hint.BuildDistinct)
-		}
-		if hint.NumKey && len(lCols) == 1 {
-			rCol := rCols[0]
-			var numIdx map[numKey][]int
-			var numSet map[numKey]struct{}
-			if p.trivial {
-				numSet = make(map[numKey]struct{}, size)
-			} else {
-				numIdx = make(map[numKey][]int, size)
-			}
-			ok := true
-			for i, rr := range r.Rows() {
-				if pass, err := keep(rr); err != nil {
-					return nil, err
-				} else if !pass {
-					continue
-				}
-				if p.sqlMode && rr[rCol].IsNull() {
-					continue
-				}
-				k, kOk := numKeyOf(rr[rCol])
-				if !kOk {
-					ok = false // surprise non-numeric value: fall back
-					break
-				}
-				if p.trivial {
-					numSet[k] = struct{}{}
-				} else {
-					numIdx[k] = append(numIdx[k], i)
-				}
-			}
-			if ok {
-				p.numIdx, p.numSet, p.lCol = numIdx, numSet, lCols[0]
-			}
-		}
-		if p.numIdx == nil && p.numSet == nil {
-			var idx map[string][]int
-			var strSet map[string]struct{}
-			if p.trivial {
-				strSet = make(map[string]struct{}, size)
-			} else {
-				idx = make(map[string][]int, size)
-			}
-			for i, rr := range r.Rows() {
-				if pass, err := keep(rr); err != nil {
-					return nil, err
-				} else if !pass {
-					continue
-				}
-				if p.sqlMode && anyNull(rr, rCols) {
-					continue
-				}
-				k := value.TupleKey(rr, rCols)
-				if p.trivial {
-					strSet[k] = struct{}{}
-				} else {
-					idx[k] = append(idx[k], i)
-				}
-			}
-			p.idx, p.strSet = idx, strSet
-		}
-		if err := ev.charge("semijoin/build", int64(r.Len())); err != nil {
-			return nil, err
-		}
-		p.lCols = lCols
-		ev.stats.HashJoins++
-		ev.note("hash %s [%d keys] build %d rows (slim=%v numkey=%v fused=%v)",
-			p.name, len(lCols), r.Len(), hint.SlimVerify,
-			p.numIdx != nil || p.numSet != nil, fuse != nil)
-		return p, nil
 	}
 	// Nested loop: the "confused optimizer" path that conditions of the
 	// form (A = B OR B IS NULL) force, per Section 7 of the paper. Under
@@ -614,15 +624,166 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 	// same verdict per probe, ~Shards× fewer comparisons.
 	if k := ev.opts.shardCount(); k > 1 {
 		if lc, rc, ok := spanningUnifyEdge(cond, nL); ok {
-			p.uni = shard.BuildKeyed(r.Rows(), rc, k)
+			p.uni = shard.BuildKeyed(p.r.Rows(), rc, k)
 			p.uniCol = lc
 			ev.note("nested-loop %s co-partitioned on probe #%d ≈ build #%d over %d shards (%d wild rows)",
 				p.name, lc, nL+rc, k, len(p.uni.Wild))
 		}
 	}
 	ev.stats.NestedLoopJoins++
-	ev.note("nested-loop %s vs %d rows", p.name, r.Len())
+	ev.note("nested-loop %s vs %d rows", p.name, p.r.Len())
 	return p, nil
+}
+
+// buildsLeft reports whether a keyed plan should index its probe side
+// of nL rows, already materialized, rather than r: when that side is
+// the smaller input and execution is unsharded.
+func (ev *Evaluator) buildsLeft(p *semiPlan, nL int) bool {
+	return len(p.lCols) > 0 && nL < p.r.Len() && ev.opts.shardCount() == 1
+}
+
+// buildSemi indexes r for a keyed plan, so that probeSemi can stream
+// the left side through it; nested-loop plans are left as they are.
+// It charges |r| cost units, and the probe one unit per left row plus
+// one per verified candidate.
+func (ev *Evaluator) buildSemi(p *semiPlan) error {
+	if len(p.lCols) == 0 {
+		return nil
+	}
+	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
+		return err
+	}
+	idx, err := ev.buildIndex(p.r.Rows(), p.rCols, p.size, p.fuse)
+	if err != nil {
+		return err
+	}
+	if err := ev.charge("semijoin/build", int64(p.r.Len())); err != nil {
+		return err
+	}
+	p.idx = idx
+	ev.stats.HashJoins++
+	ev.note("hash %s [%d keys] build=subquery %d rows (slim=%v numkey=%v fused=%v)",
+		p.name, len(p.lCols), p.r.Len(), p.slim, idx.numeric(), p.fuse != nil)
+	return nil
+}
+
+// semiHit is one row of r whose key found a bucket of the probe-side
+// index in reverseSemi, and which passed the fused filter.
+type semiHit struct{ r, bucket int32 }
+
+// reverseSemi answers a keyed plan over the materialized probe side
+// lRows by indexing lRows and scanning r once, and returns the
+// qualifying rows in probe order. The scan runs in contiguous parallel
+// partitions; only rows whose key hits a bucket pay for the fused
+// filter, and they are collected in r order. The verify pass then walks
+// the hits in that order, on this goroutine: each probe row is checked
+// against its candidates in ascending r order until the first match —
+// the candidates probeSemi would check — and a matched row leaves its
+// bucket, so an exhausted bucket costs nothing more. The charge is
+// |lRows| + |r| + one unit per verified candidate, exactly buildSemi's
+// plus probeSemi's, so results, Stats and budget trips match the
+// build-right orientation.
+func (ev *Evaluator) reverseSemi(p *semiPlan, lRows []table.Row) ([]table.Row, error) {
+	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
+		return nil, err
+	}
+	idx, err := ev.buildIndex(lRows, p.lCols, len(lRows), nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := ev.charge("semijoin/build", int64(len(lRows))); err != nil {
+		return nil, err
+	}
+	ev.stats.HashJoins++
+	ev.note("hash %s [%d keys] build=probe-side %d rows, scan %d (slim=%v numkey=%v fused=%v)",
+		p.name, len(p.lCols), len(lRows), p.r.Len(), p.slim, idx.numeric(), p.fuse != nil)
+
+	rRows := p.r.Rows()
+	parts := make([][]semiHit, ev.opts.workers())
+	err = ev.runChunks(len(rRows), "semijoin/probe", func(c *chunk) error {
+		if err := c.fault(guard.SiteSemijoinProbe); err != nil {
+			return err
+		}
+		var hits []semiHit
+		for j := c.lo; j < c.hi; j++ {
+			if c.stopped() {
+				return nil
+			}
+			c.st.costUnits++
+			b := idx.bucket(rRows[j], p.rCols, &c.key)
+			if b < 0 {
+				continue
+			}
+			if p.fuse != nil {
+				if v, err := ev.evalCond(p.fuse, rRows[j]); err != nil {
+					return err
+				} else if !v.IsTrue() {
+					continue // rejected by the fused filter, like the standalone one
+				}
+			}
+			hits = append(hits, semiHit{r: int32(j), bucket: b})
+		}
+		parts[c.part] = hits
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Verify pass. live[b] counts bucket b's still-unmatched probe rows,
+	// kept in order at the front of its id range.
+	live := make([]int32, idx.buckets())
+	for b := range live {
+		live[b] = int32(len(idx.rows(int32(b))))
+	}
+	matched := make([]bool, len(lRows))
+	row := make(table.Row, p.nL+p.r.Arity())
+	c := &chunk{st: &chunkStats{}, halt: new(atomic.Bool), gov: ev.gov, op: "semijoin/probe"}
+	err = func() error {
+		for _, hits := range parts {
+			for _, h := range hits {
+				if c.stopped() {
+					return c.err
+				}
+				cands := idx.rows(h.bucket)[:live[h.bucket]]
+				if p.trivial {
+					for _, i := range cands {
+						matched[i] = true
+					}
+					live[h.bucket] = 0
+					continue
+				}
+				copy(row[p.nL:], rRows[h.r])
+				left := cands[:0]
+				for _, i := range cands {
+					c.st.costUnits++
+					copy(row, lRows[i])
+					v, err := ev.evalCond(p.cond, row)
+					if err != nil {
+						return err
+					}
+					if v.IsTrue() {
+						matched[i] = true
+					} else {
+						left = append(left, i)
+					}
+				}
+				live[h.bucket] = int32(len(left))
+			}
+		}
+		return c.flushCost()
+	}()
+	ev.stats.CostUnits += c.st.costUnits
+	if err != nil {
+		return nil, err
+	}
+	var out []table.Row
+	for i, lr := range lRows {
+		if matched[i] != p.anti {
+			out = append(out, lr)
+		}
+	}
+	return out, nil
 }
 
 // semiMatch probes one row against the plan. row is the caller-owned
@@ -631,89 +792,64 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 // (probeSemi) and the sharded probe (scatterProbeSemi), so the
 // per-candidate cost accounting stays identical between them.
 func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lr table.Row) (bool, error) {
-	match := false
-	switch {
-	case p.numSet != nil || p.strSet != nil:
-		// Slim verify with empty residual: key presence alone
-		// decides the match.
+	if p.idx != nil {
 		c.st.costUnits++
-		if !(p.sqlMode && anyNull(lr, p.lCols)) {
-			if p.numSet != nil {
-				// A probe kind outside the numeric namespace is a
-				// guaranteed miss — its TupleKey tag could not
-				// collide with any numeric build key either.
-				if k, ok := numKeyOf(lr[p.lCol]); ok {
-					_, match = p.numSet[k]
-				}
-			} else {
-				_, match = p.strSet[value.TupleKey(lr, p.lCols)]
-			}
+		cands := p.idx.lookup(lr, p.lCols, &c.key)
+		if p.trivial {
+			// Slim verify with empty residual: key presence alone
+			// decides the match.
+			return len(cands) > 0, nil
 		}
-	case p.idx != nil || p.numIdx != nil:
-		c.st.costUnits++
-		if !(p.sqlMode && anyNull(lr, p.lCols)) {
-			var bucket []int
-			if p.numIdx != nil {
-				// A probe kind outside the numeric namespace keeps
-				// bucket nil — its TupleKey tag could not collide
-				// with any numeric build key either.
-				if k, ok := numKeyOf(lr[p.lCol]); ok {
-					bucket = p.numIdx[k]
-				}
-			} else {
-				bucket = p.idx[value.TupleKey(lr, p.lCols)]
-			}
-			copy(row, lr)
-			for _, ri := range bucket {
-				c.st.costUnits++
-				copy(row[p.nL:], p.r.Row(ri))
-				v, err := ev.evalCond(p.cond, row)
-				if err != nil {
-					return false, err
-				}
-				if v.IsTrue() {
-					match = true
-					break
-				}
-			}
-		}
-	default:
 		copy(row, lr)
-		if p.uni != nil && !lr[p.uniCol].IsNull() {
-			// Keyed co-partition (sharded execution): only the probe
-			// key's bucket plus the wild rows can satisfy the plan's
-			// unification edge, and the full condition still decides
-			// each candidate — the same verdict the full scan reaches,
-			// ~Shards× fewer evaluations. A null probe key can unify
-			// into any bucket and takes the full scan below.
-			var err error
-			p.uni.EachCandidate(lr[p.uniCol], func(ri int) bool {
-				c.st.costUnits++
-				copy(row[p.nL:], p.r.Row(ri))
-				v, e := ev.evalCond(p.cond, row)
-				if e != nil {
-					err = e
-					return false
-				}
-				if v.IsTrue() {
-					match = true
-					return false
-				}
-				return true
-			})
-			return match, err
-		}
-		for _, rr := range p.r.Rows() {
+		for _, ri := range cands {
 			c.st.costUnits++
-			copy(row[p.nL:], rr)
+			copy(row[p.nL:], p.r.Row(int(ri)))
 			v, err := ev.evalCond(p.cond, row)
 			if err != nil {
 				return false, err
 			}
 			if v.IsTrue() {
-				match = true
-				break
+				return true, nil
 			}
+		}
+		return false, nil
+	}
+	match := false
+	copy(row, lr)
+	if p.uni != nil && !lr[p.uniCol].IsNull() {
+		// Keyed co-partition (sharded execution): only the probe key's
+		// bucket plus the wild rows can satisfy the plan's unification
+		// edge, and the full condition still decides each candidate —
+		// the same verdict the full scan reaches, ~Shards× fewer
+		// evaluations. A null probe key can unify into any bucket and
+		// takes the full scan below.
+		var err error
+		p.uni.EachCandidate(lr[p.uniCol], func(ri int) bool {
+			c.st.costUnits++
+			copy(row[p.nL:], p.r.Row(ri))
+			v, e := ev.evalCond(p.cond, row)
+			if e != nil {
+				err = e
+				return false
+			}
+			if v.IsTrue() {
+				match = true
+				return false
+			}
+			return true
+		})
+		return match, err
+	}
+	for _, rr := range p.r.Rows() {
+		c.st.costUnits++
+		copy(row[p.nL:], rr)
+		v, err := ev.evalCond(p.cond, row)
+		if err != nil {
+			return false, err
+		}
+		if v.IsTrue() {
+			match = true
+			break
 		}
 	}
 	return match, nil
@@ -825,7 +961,12 @@ func (ev *Evaluator) evalSemiJoin(e algebra.SemiJoin) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := ev.probeSemi(p, l.Rows())
+	var rows []table.Row
+	if ev.buildsLeft(p, l.Len()) {
+		rows, err = ev.reverseSemi(p, l.Rows())
+	} else if err = ev.buildSemi(p); err == nil {
+		rows, err = ev.probeSemi(p, l.Rows())
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -71,7 +71,8 @@ type chunk struct {
 	// the governor up front (unification semijoin); their per-row
 	// counters are reporting only and must not be charged again.
 	precharged bool
-	charged    int64 // st.costUnits already flushed to the governor
+	charged    int64  // st.costUnits already flushed to the governor
+	key        []byte // scratch for the partition's hash-index probe keys
 }
 
 // stopped reports whether the chunk should cease: another partition

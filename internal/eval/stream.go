@@ -310,7 +310,10 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 // buildSemiIter compiles an (anti-)semijoin: the uncorrelated
 // short-circuit answers the subquery once and compiles to either an
 // empty pipeline or the bare left side; the correlated form builds the
-// right side eagerly (prepSemi) and streams probe batches through it.
+// right side eagerly (prepSemi) and streams probe batches through it —
+// unless the left side is already buffered and smaller, in which case
+// the operator is answered at construction with the index on the left
+// (reverseSemi) and its rows stream from a buffer.
 // The evaluation order — left pipeline construction, then right-side
 // build — matches the materializing engine's left-then-right order.
 func (ev *Evaluator) buildSemiIter(e algebra.SemiJoin, sh *Shape) (iter, error) {
@@ -336,6 +339,23 @@ func (ev *Evaluator) buildSemiIter(e algebra.SemiJoin, sh *Shape) (iter, error) 
 		child.close()
 		return nil, err
 	}
+	if b, ok := child.(*bufferedIter); ok && b.off == 0 && ev.buildsLeft(p, b.t.Len()) {
+		// The probe side is already a table — a buffered subtree or a
+		// previous build-left semijoin's answer — and the smaller input:
+		// answer now by indexing it, and stream the answer.
+		child.close()
+		rows, err := ev.reverseSemi(p, b.t.Rows())
+		if err != nil {
+			return nil, err
+		}
+		out := table.FromRows(nL, rows)
+		ev.note("%s %d vs %d -> %d rows", p.name, b.t.Len(), p.r.Len(), out.Len())
+		return &bufferedIter{t: out}, nil
+	}
+	if err := ev.buildSemi(p); err != nil {
+		child.close()
+		return nil, err
+	}
 	return &semiProbeIter{ev: ev, p: p, child: child}, nil
 }
 
@@ -343,12 +363,17 @@ func (ev *Evaluator) buildSemiIter(e algebra.SemiJoin, sh *Shape) (iter, error) 
 // is where per-operator governance became per-batch: every pull polls
 // for cancellation, fires the batch-pull fault site, checks the row
 // budget against the accumulated output, and charges the output's
-// estimated bytes incrementally (table.EstimatedBytes is linear in
+// estimated bytes incrementally (table.EstimateBytes is linear in
 // rows, so the increments sum exactly to the full-table charge). On
 // failure the partial output's charge is returned to the governor.
+// Batches are kept until the pipeline ends and copied into the table
+// once, so the table is allocated at its final size.
 func (ev *Evaluator) drain(op string, it iter) (t *table.Table, err error) {
-	out := table.New(it.arity())
-	var charged int64
+	var (
+		batches [][]table.Row
+		n       int
+		charged int64
+	)
 	defer func() {
 		if err != nil {
 			ev.gov.ReleaseMem(charged)
@@ -368,16 +393,22 @@ func (ev *Evaluator) drain(op string, it iter) (t *table.Table, err error) {
 		if batch == nil {
 			break
 		}
-		for _, r := range batch {
-			out.Append(r)
-		}
-		if err := ev.gov.CheckRows(op, out.Len()); err != nil {
+		batches = append(batches, batch)
+		n += len(batch)
+		if err := ev.gov.CheckRows(op, n); err != nil {
 			return nil, err
 		}
-		delta := out.EstimatedBytes() - charged
+		delta := table.EstimateBytes(n, it.arity()) - charged
 		charged += delta // ChargeMem adds before checking; keep release exact
 		if err := ev.gov.ChargeMem(op, delta); err != nil {
 			return nil, err
+		}
+	}
+	out := table.New(it.arity())
+	out.Grow(n)
+	for _, b := range batches {
+		for _, r := range b {
+			out.Append(r)
 		}
 	}
 	ev.trackMem(out, charged)

@@ -95,8 +95,12 @@ const (
 // EstimatedBytes returns a coarse estimate of the table's in-memory
 // size, used by the resource governor for memory accounting at
 // operator boundaries.
-func (t *Table) EstimatedBytes() int64 {
-	return int64(t.Len()) * (rowHeaderBytes + valueBytes*int64(t.arity))
+func (t *Table) EstimatedBytes() int64 { return EstimateBytes(t.Len(), t.arity) }
+
+// EstimateBytes is EstimatedBytes for a table of n rows of the given
+// arity, for callers that account for rows before they form a table.
+func EstimateBytes(n, arity int) int64 {
+	return int64(n) * (rowHeaderBytes + valueBytes*int64(arity))
 }
 
 // Grow pre-allocates capacity for n additional rows.
