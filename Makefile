@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build vet lint lint-fix test race bench bench-memory bench-plan bench-shard fuzz fuzz-plan fuzz-shard fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
+.PHONY: check build vet lint lint-fix test race bench bench-memory bench-plan fuzz fuzz-plan fuzzcert chaos chaos-crash serve-smoke loadtest loadtest-smoke
 
 # check is what CI runs: build, vet, lint, and the full test suite under
 # the race detector (the parallel executor must stay race-clean).
@@ -10,8 +10,8 @@ check: build vet lint race
 # lint runs the repo-local static checks. vetcert is the type-aware
 # invariant analyzer (tools/vetcert): governance polling on row loops,
 # memory-charge balance, context threading, snapshot discipline,
-# guard-sentinel hygiene, and the exhaustiveness rules migrated from
-# astlint. It owns the aggregate exit code — 0 clean, 1 findings,
+# guard-sentinel hygiene, and the exhaustiveness rules (closed-family
+# type switches, guard-sentinel dispatch, strict enums). It owns the aggregate exit code — 0 clean, 1 findings,
 # 2 operational error — and make propagates it verbatim. certlint must
 # then cleanly process the checked-in Q⁺ corpus (the translated
 # experiment queries): the queries are hazardous by construction, which
@@ -67,9 +67,12 @@ bench-memory:
 # single-core, under both the default and the raw (unsplit, Section 7)
 # translations, then runs the acceptance check: >=1.5x on at least two
 # appendix queries with byte-identical results (EXPERIMENTS.md records
-# the measured table).
+# the measured table). BenchmarkRoutes then times Q+1-Q+4 on the raw,
+# default and naive-planner routes, the table behind EXPERIMENTS.md's
+# "Why there is no sharding".
 bench-plan:
 	$(GO) test -run '^$$' -bench BenchmarkPlannerSpeedup -benchtime 5x .
+	$(GO) test -run '^$$' -bench BenchmarkRoutes -benchtime 3x .
 	$(GO) test -run '^TestPlannerSpeedup$$' -count=1 -v .
 
 # fuzz runs every native fuzz target for FUZZTIME each, under the race
@@ -89,19 +92,12 @@ fuzz:
 	$(GO) test -race -run='^$$' -fuzz=FuzzCompileEval -fuzztime=$(FUZZTIME) ./internal/difftest
 	$(GO) test -race -run='^$$' -fuzz=FuzzAnalyzerSoundness -fuzztime=$(FUZZTIME) ./internal/difftest
 	$(GO) test -race -run='^$$' -fuzz=FuzzPlannerAblation -fuzztime=$(FUZZTIME) ./internal/difftest
-	$(GO) test -race -run='^$$' -fuzz=FuzzShardAblation -fuzztime=$(FUZZTIME) ./internal/difftest
 
 # fuzz-plan hammers only the planner's byte-identity contract: the
 # coverage-guided planner-ablation fuzzer (optimized vs naive plans,
 # both semantics, both engines) under the race detector.
 fuzz-plan:
 	$(GO) test -race -run='^$$' -fuzz=FuzzPlannerAblation -fuzztime=$(FUZZTIME) ./internal/difftest
-
-# fuzz-shard hammers only the shard-ablation byte-identity contract:
-# sharded scatter-gather execution vs the unsharded run, every route,
-# both engines, both planners, under the race detector.
-fuzz-shard:
-	$(GO) test -race -run='^$$' -fuzz=FuzzShardAblation -fuzztime=$(FUZZTIME) ./internal/difftest
 
 # fuzzcert runs the seeded differential oracle over a deterministic
 # range of cases (no coverage guidance, instantly reproducible: every
@@ -140,23 +136,15 @@ chaos-crash:
 serve-smoke:
 	GO=$(GO) ./scripts/serve_smoke.sh
 
-# bench-shard measures scatter-gather execution (Options.Shards) on the
-# translated Q1-Q4, prepared, against the unsharded baseline, then runs
-# the acceptance check: >=1.5x on at least two appendix queries at
-# Shards=4 with byte-identical results (EXPERIMENTS.md records the
-# measured table).
-bench-shard:
-	$(GO) test -run '^$$' -bench BenchmarkShardSpeedup -benchtime 5x .
-	$(GO) test -run '^TestShardSpeedup$$' -count=1 -v .
-
-# loadtest soaks certsqld -shards N with the closed-loop generator in
+# loadtest soaks certsqld with the closed-loop generator in
 # cmd/loadtest (the paper's Q1-Q4 plus ad-hoc variations) and reports
 # QPS, latency percentiles and 5xx counts; EXPERIMENTS.md records the
-# measured table. DURATION and SHARDS pass through to the script.
+# measured table. DURATION and CONCURRENCY pass through to the script.
 loadtest:
 	GO=$(GO) ./scripts/loadtest.sh
 
 # loadtest-smoke is the CI setting: a short soak that asserts the
-# server survives concurrent sharded load with zero 5xx responses.
+# server survives concurrent load with zero 5xx responses and drains
+# cleanly.
 loadtest-smoke:
 	GO=$(GO) DURATION=3s ./scripts/loadtest.sh

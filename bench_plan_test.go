@@ -3,6 +3,7 @@ package certsql_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,5 +159,74 @@ func TestPlannerSpeedup(t *testing.T) {
 	}
 	if len(fast) < 2 {
 		t.Errorf("cost-based planner reached a 1.5x speedup on only %d of 4 appendix queries, want >= 2", len(fast))
+	}
+}
+
+// routeStressDB is the instance Q⁺2 is timed on in BenchmarkRoutes:
+// scale factor 0.02 with 5% nulls confined to part, a relation Q⁺2
+// never reads. On benchPlanDB any null o_custkey certainly-matches
+// every customer, so Q⁺2's raw unification antijoin stops at the first
+// null row and there is nothing to time; confining the nulls keeps it
+// the quadratic orders scan of Section 7.
+var routeStressDB = sync.OnceValues(func() (*certsql.DB, tpch.Sizes) {
+	cfg := tpch.Config{ScaleFactor: 0.02, Seed: 42}
+	inner := tpch.Generate(cfg)
+	tpch.InjectNullsInto(inner, 0.05, rand.New(rand.NewSource(42)), "part")
+	return certsql.FromInternal(inner), cfg.Sizes()
+})
+
+// BenchmarkRoutes times the certain-answer translations Q⁺1–Q⁺4 on
+// the three routes of the OR-split ablation, prepared, at
+// Parallelism 1:
+//
+//   - raw: Options.NaivePlanner + Options.NoOrSplit, the Section 7
+//     shape whose `A = B OR B IS NULL` conditions defeat hash keys;
+//   - default: the OR-split translation under the cost-based planner;
+//   - naive-orsplit: the OR-split translation under the naive planner.
+//
+// Q⁺2 runs on routeStressDB, the others on benchPlanDB. The rows
+// metric lets a reader check that every route returns the same answer
+// size. EXPERIMENTS.md ("Why there is no sharding") records the table.
+// Run with:
+//
+//	make bench-plan
+func BenchmarkRoutes(b *testing.B) {
+	planDB, planSizes := benchPlanDB()
+	stressDB, stressSizes := routeStressDB()
+	rng := rand.New(rand.NewSource(7))
+	for _, q := range tpch.AllQueries {
+		db, sizes := planDB, planSizes
+		if q == tpch.Q2 {
+			db, sizes = stressDB, stressSizes
+		}
+		params := q.Params(rng, sizes)
+		text, err := certsql.WithMode(q.SQL(), "certain")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, route := range []struct {
+			name string
+			opts certsql.Options
+		}{
+			{"raw", certsql.Options{Parallelism: 1, NaivePlanner: true, NoOrSplit: true}},
+			{"default", certsql.Options{Parallelism: 1}},
+			{"naive-orsplit", certsql.Options{Parallelism: 1, NaivePlanner: true}},
+		} {
+			b.Run(fmt.Sprintf("%s/%s", q, route.name), func(b *testing.B) {
+				stmt, err := db.Prepare(text)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := stmt.ExecuteWithOptions(params, route.opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(res.Len()), "rows")
+					b.ReportMetric(float64(res.Stats.CostUnits), "cost-units")
+				}
+			})
+		}
 	}
 }

@@ -156,19 +156,6 @@ type Options struct {
 	// Results are deterministic — byte-identical at any setting.
 	Parallelism int
 
-	// Shards executes the probe-side operators scatter-gather across N
-	// in-process engine shards (internal/shard, DESIGN.md §16): probe
-	// rows are routed to shards by content hash, each shard runs under
-	// a child governor rolled up to the query's governor, and the
-	// gather reassembles input order — results are byte-identical to an
-	// unsharded run at any setting (difftest's shard-ablation invariant
-	// pins this). Unification-semijoin build sides are broadcast to
-	// every shard, or co-partitioned when statistics prove the build
-	// relation null-free (surfaced in ExplainPlan). 0 or 1 runs
-	// unsharded. Orthogonal to Parallelism, which fans contiguous
-	// chunks across workers inside one shard-less operator.
-	Shards int
-
 	// Trace records an EXPLAIN ANALYZE-style plan trace, retrievable
 	// from Result.Trace.
 	Trace bool
@@ -199,7 +186,6 @@ func (o Options) evalOptions(gov *guard.Governor) eval.Options {
 		Semantics:      o.semantics(),
 		Governor:       gov,
 		Parallelism:    o.Parallelism,
-		Shards:         o.Shards,
 		NoHashJoin:     o.NoHashJoin,
 		NoSubplanCache: o.NoViewCache,
 		NoShortCircuit: o.NoShortCircuit,
@@ -632,67 +618,16 @@ func (db *DB) evalExprShaped(gov *guard.Governor, expr algebra.Expr, shape *eval
 
 // evalExprPlanned is the evaluation tail shared by the ad-hoc and
 // prepared routes: expression, shape annotation and planner hints are
-// all settled, only execution remains — plus, under Shards > 1, the
-// shard plan, which is derived here per execution rather than cached:
-// its co-partition choices depend on null-rate statistics that a load
-// can invalidate, so each run decides against fresh statistics and the
-// plan cache stays shard-agnostic (Shards is deliberately absent from
-// the plan-cache fingerprint).
+// all settled, only execution remains.
 func (db *DB) evalExprPlanned(gov *guard.Governor, expr algebra.Expr, shape *eval.Shape, hints *eval.PlanHints, cols []string, opts Options) (*Result, error) {
 	eo := opts.evalOptions(gov)
 	eo.Shape, eo.Hints = shape, hints
-	if opts.Shards > 1 {
-		sh, err := db.shardHints(gov, expr, opts)
-		if err != nil {
-			return nil, err
-		}
-		if sh != nil {
-			eo.Hints = withShardHints(eo.Hints, sh)
-		}
-	}
 	ev := eval.New(db.d, eo)
 	t, err := ev.Eval(expr)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Columns: cols, rows: t, Stats: ev.Stats(), trace: ev.Trace()}, nil
-}
-
-// shardHints derives the per-operator shard hints for one execution.
-// The shard plan is an execution-layer choice, not a logical-plan one,
-// so it runs under NaivePlanner too: the naive route keeps the
-// paper-faithful plan shape — whose unification semijoins are exactly
-// the operators co-partitioning pays off on — while the broadcast-vs-
-// co-partition call is still cost-gated by statistics collected now,
-// with the null-free premises re-checked against those same statistics.
-// A failed re-check (the seam prepared executions rely on when a load
-// lands between planning and running) drops to broadcast, never to a
-// wrong answer.
-func (db *DB) shardHints(gov *guard.Governor, expr algebra.Expr, opts Options) (map[string]eval.ShardHint, error) {
-	st, err := db.collectStats(gov)
-	if err != nil {
-		return nil, err
-	}
-	sr := plan.ShardPlan(expr, st, opts.Shards)
-	if sr == nil || sr.Hints == nil {
-		return nil, nil
-	}
-	if !plan.CheckPremises(sr.Premises, st) {
-		return nil, nil
-	}
-	return sr.Hints, nil
-}
-
-// withShardHints returns a copy of h carrying the shard hints. The
-// copy matters: h may be owned by the plan cache and shared across
-// concurrent executions with different shard counts.
-func withShardHints(h *eval.PlanHints, sh map[string]eval.ShardHint) *eval.PlanHints {
-	var nh eval.PlanHints
-	if h != nil {
-		nh = *h
-	}
-	nh.Shard = sh
-	return &nh
 }
 
 // QueryPossible evaluates the query's potential-answer translation Q⋆:
@@ -892,11 +827,7 @@ func (db *DB) ExplainPlanContext(ctx context.Context, text string, params Params
 	if err != nil {
 		return "", err
 	}
-	out := pr.ExplainText()
-	if opts.Shards > 1 {
-		out += plan.ShardPlan(pr.Expr, st, opts.Shards).Render(opts.Shards)
-	}
-	return out, nil
+	return pr.ExplainText(), nil
 }
 
 // Stats summarizes one execution.

@@ -11,6 +11,7 @@ import (
 	"certsql/internal/guard"
 	"certsql/internal/guard/faultinject"
 	"certsql/internal/qgen"
+	"certsql/internal/table"
 )
 
 // Chaos mode replays seeded qgen cases under injected faults and
@@ -50,6 +51,9 @@ type ChaosReport struct {
 	FaultsFired int
 	// CancelFired reports whether the random-point cancellation landed.
 	CancelFired bool
+	// SitesFired counts, per fault site, the injected faults (error,
+	// panic and cancel) that actually fired in this case.
+	SitesFired map[guard.Site]int
 	// Degraded reports whether the degradation ladder engaged.
 	Degraded bool
 	// Skipped, when non-empty, explains why the case was not chaos-
@@ -90,7 +94,7 @@ const chaosFaults = 3
 func ChaosSeed(seed uint64, opts Options) *ChaosReport {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	db, text := qgen.Case(rng, opts.Tuning)
-	rep := &ChaosReport{Seed: seed, SQL: text}
+	rep := &ChaosReport{Seed: seed, SQL: text, SitesFired: map[guard.Site]int{}}
 	fdb := certsql.FromInternal(db)
 	par := opts.parallelism()
 
@@ -126,13 +130,13 @@ func ChaosSeed(seed uint64, opts Options) *ChaosReport {
 	// the certain route exercises translation-only operators such as
 	// view materialization.
 	for _, f := range faultinject.Plan(rng, chaosFaults) {
-		rep.chaosFaultRun(fdb, text, par, f, "standard", base.SortedStrings(),
-			func(o certsql.Options) (*certsql.Result, error) {
+		rep.chaosFaultRun(db, text, par, f, "standard", base.SortedStrings(),
+			func(fdb *certsql.DB, o certsql.Options) (*certsql.Result, error) {
 				return fdb.QueryWithOptions(text, nil, o)
 			})
 		if perr == nil {
-			rep.chaosFaultRun(fdb, text, par, f, "certain", plus.SortedStrings(),
-				func(o certsql.Options) (*certsql.Result, error) {
+			rep.chaosFaultRun(db, text, par, f, "certain", plus.SortedStrings(),
+				func(fdb *certsql.DB, o certsql.Options) (*certsql.Result, error) {
 					return fdb.QueryCertainWithOptions(text, nil, o)
 				})
 		}
@@ -151,12 +155,12 @@ func ChaosSeed(seed uint64, opts Options) *ChaosReport {
 	inj.SetCancel(cancel)
 	gov := guard.New(ctx, guard.Limits{})
 	gov.SetFaultHook(inj)
-	// Sharded like the fault runs: cancellation must interrupt a
-	// mid-scatter gather without leaking workers or surfacing a partial
-	// result, which is exactly the all-or-nothing gather contract.
-	res, cerr := fdb.QueryWithOptionsContext(ctx, text, nil, certsql.Options{Parallelism: par, Guard: gov, Shards: 2})
+	res, cerr := fdb.QueryWithOptionsContext(ctx, text, nil, certsql.Options{Parallelism: par, Guard: gov})
 	cancel()
 	rep.CancelFired = inj.Fired() > 0
+	if rep.CancelFired {
+		rep.SitesFired[cancelFault.Site]++
+	}
 	// vetcert:ignore sentinelswitch: budgetErr covers the whole budget
 	// family via the ErrBudget umbrella, and no deadline is set here —
 	// a deadline trip would be a violation, which default reports.
@@ -223,22 +227,23 @@ func ChaosSeed(seed uint64, opts Options) *ChaosReport {
 }
 
 // chaosFaultRun executes one route under one injected fault and checks
-// the failure-semantics invariants, then retries cleanly.
-func (rep *ChaosReport) chaosFaultRun(fdb *certsql.DB, text string, par int, f faultinject.Fault,
-	route string, want []string, run func(certsql.Options) (*certsql.Result, error)) {
+// the failure-semantics invariants, then retries cleanly. The run starts
+// from a cold facade over db, with no statistics cached yet, so the
+// stats-collect site lies on its path like every other engine site;
+// the clean retry reuses that facade, so a fault mid-collection must
+// leave no torn statistics behind.
+func (rep *ChaosReport) chaosFaultRun(db *table.Database, text string, par int, f faultinject.Fault,
+	route string, want []string, run func(*certsql.DB, certsql.Options) (*certsql.Result, error)) {
 	rep.FaultRuns++
+	fdb := certsql.FromInternal(db)
 	inj := faultinject.New(f)
 	gov := guard.Background(guard.Limits{})
 	gov.SetFaultHook(inj)
-	// Fault runs execute sharded (Shards: 2): the scatter/gather fault
-	// sites only fire on sharded runs, and a sharded result is
-	// byte-identical to the unsharded baseline by construction — so the
-	// same `want` serves both. Clean retries below run unsharded,
-	// pinning that a disturbed sharded run poisons nothing.
-	res, err := run(certsql.Options{Parallelism: par, Guard: gov, Shards: 2})
+	res, err := run(fdb, certsql.Options{Parallelism: par, Guard: gov})
 	fired := inj.Fired() > 0
 	if fired {
 		rep.FaultsFired++
+		rep.SitesFired[f.Site]++
 	}
 	switch {
 	case err == nil && fired:
@@ -270,7 +275,7 @@ func (rep *ChaosReport) chaosFaultRun(fdb *certsql.DB, text string, par int, f f
 	}
 	// Clean retry on the same route and database.
 	after := fmt.Sprintf("%v (%s)", f, route)
-	rres, rerr := run(certsql.Options{Parallelism: par})
+	rres, rerr := run(fdb, certsql.Options{Parallelism: par})
 	if rerr != nil {
 		rep.violate("retry", "clean retry after %s failed: %v", after, rerr)
 		return
@@ -309,6 +314,7 @@ func (rep *ChaosReport) chaosCachePoison(fdb *certsql.DB, text string, par int) 
 	}
 	rep.FaultRuns++
 	rep.FaultsFired++
+	rep.SitesFired[f.Site]++
 	var ie *guard.InternalError
 	if !errors.As(perr, &ie) {
 		rep.violate("cache-poison", "%v: injected panic surfaced as %v, want *guard.InternalError", f, perr)

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+
+	"certsql/internal/guard"
 )
 
 // ChaosSummary aggregates a batch of seed-driven chaos runs.
@@ -25,6 +27,9 @@ type ChaosSummary struct {
 	// mid-flight; Degraded those where the degradation ladder engaged.
 	CancelsFired int
 	Degraded     int
+	// SitesFired counts fired faults per fault site over all cases, so
+	// a sweep can show that every entry of guard.Sites is reachable.
+	SitesFired map[guard.Site]int
 }
 
 // Summary renders the aggregate for logs.
@@ -32,6 +37,11 @@ func (s ChaosSummary) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos: %d cases (%d skipped), %d fault runs (%d fired), %d cancels landed, %d degraded\n",
 		s.Cases, s.Skipped, s.FaultRuns, s.FaultsFired, s.CancelsFired, s.Degraded)
+	b.WriteString("chaos: faults fired per site:")
+	for _, site := range guard.Sites {
+		fmt.Fprintf(&b, " %s=%d", site, s.SitesFired[site])
+	}
+	b.WriteString("\n")
 	fmt.Fprintf(&b, "chaos: %d case(s) violated failure-semantics invariants\n", s.Failed)
 	return b.String()
 }
@@ -45,7 +55,7 @@ func ChaosRun(start uint64, cases, workers int, opts Options, progress func(*Cha
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	sum := ChaosSummary{Cases: cases}
+	sum := ChaosSummary{Cases: cases, SitesFired: map[guard.Site]int{}}
 	reports := make([]*ChaosReport, cases)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -90,6 +100,9 @@ func ChaosRun(start uint64, cases, workers int, opts Options, progress func(*Cha
 		}
 		if rep.Degraded {
 			sum.Degraded++
+		}
+		for site, n := range rep.SitesFired {
+			sum.SitesFired[site] += n
 		}
 	}
 	return sum

@@ -255,31 +255,6 @@ func Check(db *table.Database, text string, opts Options) *Report {
 	} else if got, want := resP.Table().String(), base.Table().String(); got != want {
 		rep.violate("planner-ablation", "cost-based and naive planner differ:\ncost-based: %s\nnaive:      %s", want, got)
 	}
-	// Shard ablation: scatter-gather execution must be invisible in the
-	// result bytes — same rows, same order, same mark minting — at any
-	// shard count, on both engines and both planners. CheckShardSeed
-	// runs the full route × shard-count matrix; this block keeps the
-	// main oracle sensitive to shard regressions too.
-	for name, o := range map[string]certsql.Options{
-		"shards-2":       {Shards: 2, Parallelism: 1},
-		"shards-3":       {Shards: 3, Parallelism: 1},
-		"shards-8":       {Shards: 8, Parallelism: 1},
-		"shards-2-mat":   {Shards: 2, Materialize: true, Parallelism: 1},
-		"shards-2-naive": {Shards: 2, NaivePlanner: true, Parallelism: 1},
-	} {
-		res, err := fdb.QueryWithOptions(text, nil, o)
-		if err != nil {
-			if budgetErr(err) {
-				rep.skip("shard-ablation " + name + ": " + err.Error())
-			} else {
-				rep.violate("shard-ablation", "%s evaluation failed: %v", name, err)
-			}
-			continue
-		}
-		if got, want := res.Table().String(), base.Table().String(); got != want {
-			rep.violate("shard-ablation", "%s differs from the unsharded run:\nunsharded: %s\nsharded:   %s", name, want, got)
-		}
-	}
 
 	// Cost audit: the planner's estimates satisfy their internal
 	// consistency invariants and its rewrites invented no predicates.

@@ -63,25 +63,9 @@ type Options struct {
 
 	// Governor supplies cancellation, deadlines, row/cost/memory
 	// budgets, and (in tests) fault-injection hooks for the
-	// evaluation. When nil, New builds a background Governor from the
-	// deprecated MaxRows and MaxCostUnits fields below.
+	// evaluation. When nil, New uses a background Governor with the
+	// default limits (guard.Background(guard.Limits{})).
 	Governor *guard.Governor
-
-	// MaxRows bounds the size of any materialized intermediate result.
-	// Zero means the default of guard.DefaultMaxRows.
-	//
-	// Deprecated: set guard.Limits.MaxRows on a Governor instead. The
-	// field is consulted only when Governor is nil.
-	MaxRows int
-
-	// MaxCostUnits bounds the cumulative number of elementary row
-	// operations, so translations that compile to quadratic loops
-	// degrade with ErrTooLarge instead of hanging. Zero means the
-	// default of guard.DefaultMaxCostUnits.
-	//
-	// Deprecated: set guard.Limits.MaxCostUnits on a Governor instead.
-	// The field is consulted only when Governor is nil.
-	MaxCostUnits int64
 
 	// Parallelism is the number of worker goroutines data-parallel
 	// operators may use: 0 means GOMAXPROCS, 1 forces sequential
@@ -90,17 +74,6 @@ type Options struct {
 	// their outputs are concatenated in partition order, so the result
 	// table and the Stats counters are identical to a sequential run.
 	Parallelism int
-
-	// Shards is the number of in-process engine shards the probe-side
-	// hot loops scatter across: 0 or 1 runs unsharded. Probe rows are
-	// routed to shards by content hash (internal/shard) and the gather
-	// reassembles global input order, so results are byte-identical to
-	// Shards: 1 at any setting — difftest's shard-ablation invariant
-	// pins this. Each shard runs under a child governor whose charges
-	// roll up to this evaluation's governor (guard.Governor.Child).
-	// Orthogonal to Parallelism, which sizes the contiguous-chunk
-	// worker pool used when Shards is not in force.
-	Shards int
 
 	// NoHashJoin disables hash strategies everywhere, forcing nested
 	// loops. Used by ablation benchmarks.
@@ -153,9 +126,6 @@ type Stats struct {
 	ShortCircuits int
 	// CacheHits counts subplan results served from the view cache.
 	CacheHits int
-	// ShardScatters counts operators executed scatter-gather across
-	// engine shards (Options.Shards > 1).
-	ShardScatters int
 	// FastPathHits counts SELECT CERTAIN evaluations that skipped the
 	// Q⁺ translation because the static analyzer proved the plain query
 	// already returns exactly the certain answers. Set by the facade,
@@ -233,32 +203,20 @@ func (ev *Evaluator) freshAggNull() value.Value {
 	return value.Null(-ev.aggNulls)
 }
 
-// ErrOptionConflict reports Options that set both a Governor and the
-// deprecated MaxRows/MaxCostUnits fields. The deprecated fields are
-// consulted only when Governor is nil, so the combination used to be
-// silently ignored — the caller's limits never took effect. It is now
-// an explicit configuration error, reported by the first Eval.
-var ErrOptionConflict = errors.New(
-	"eval: Options.MaxRows/MaxCostUnits are ignored when a Governor is set; configure guard.Limits on the Governor instead")
-
 // New returns an evaluator over db with the given options.
 func New(db *table.Database, opts Options) *Evaluator {
 	gov := opts.Governor
-	var confErr error
 	if gov == nil {
-		gov = guard.Background(guard.Limits{MaxRows: opts.MaxRows, MaxCostUnits: opts.MaxCostUnits})
-	} else if opts.MaxRows != 0 || opts.MaxCostUnits != 0 {
-		confErr = ErrOptionConflict
+		gov = guard.Background(guard.Limits{})
 	}
 	return &Evaluator{
-		db:      db,
-		opts:    opts,
-		gov:     gov,
-		confErr: confErr,
-		cache:   map[string]*table.Table{},
-		scalar:  map[string]value.Value{},
-		ledger:  map[*table.Table]int64{},
-		shared:  map[string]bool{},
+		db:     db,
+		opts:   opts,
+		gov:    gov,
+		cache:  map[string]*table.Table{},
+		scalar: map[string]value.Value{},
+		ledger: map[*table.Table]int64{},
+		shared: map[string]bool{},
 	}
 }
 
@@ -298,9 +256,6 @@ func (ev *Evaluator) tick(op string) error {
 // evaluator is poisoned: subsequent Eval calls fail with ErrPoisoned
 // instead of serving possibly corrupt cached state.
 func (ev *Evaluator) Eval(e algebra.Expr) (t *table.Table, err error) {
-	if ev.confErr != nil {
-		return nil, ev.confErr
-	}
 	if ev.poisoned {
 		return nil, ErrPoisoned
 	}
@@ -756,14 +711,8 @@ func (ev *Evaluator) evalUnifySemi(e algebra.UnifySemi) (*table.Table, error) {
 		return nil, fmt.Errorf("eval: unification semijoin of arities %d and %d", l.Arity(), r.Arity())
 	}
 	// Charge the projected quadratic cost up front; see evalDivision.
-	// Every mode — sequential, chunked, sharded broadcast, sharded
-	// co-partition — charges this same projection, so budget behaviour
-	// is identical even where co-partitioning saves comparisons.
 	if err := ev.gov.ChargeCost("unify-semijoin", int64(l.Len())*int64(r.Len())); err != nil {
 		return nil, err
-	}
-	if ev.opts.shardCount() > 1 {
-		return ev.scatterUnifySemi(e, l, r)
 	}
 	lRows, rRows := l.Rows(), r.Rows()
 	chunks := make([][]table.Row, ev.opts.workers())

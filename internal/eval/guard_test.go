@@ -86,7 +86,7 @@ func TestCancelMidParallelScan(t *testing.T) {
 	}
 	settleGoroutines(t, baseGoroutines)
 
-	// Canceled-run Stats are consistent: merged shards never exceed a
+	// Canceled-run Stats are consistent: merged partition shares never exceed a
 	// full sequential run of the same operator tree.
 	full := eval.New(db, eval.Options{Semantics: value.SQL3VL, Parallelism: 1})
 	want, ferr := full.Eval(nestedLoopAnti)

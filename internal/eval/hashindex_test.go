@@ -294,7 +294,7 @@ func TestKernelJoinRowBudget(t *testing.T) {
 		e := algebra.Select{Child: algebra.Product{L: relA, R: relB}, Cond: eqCond([2]int{0, 2})}
 		for _, eng := range engines {
 			opts := eng.opts
-			opts.MaxRows = 5000
+			opts.Governor = guard.Background(guard.Limits{MaxRows: 5000})
 			_, err := eval.New(db, opts).Eval(e)
 			var le *guard.LimitError
 			if !errors.Is(err, guard.ErrRowBudget) || !errors.As(err, &le) || le.Op != "hash-join" {

@@ -12,10 +12,6 @@ package eval
 //     (value.AppendKey) are equal, and the planner only sets the flag
 //     on key columns where encoding equality implies the dropped
 //     equalities are true under both semantics.
-//   - NumKey records the planner's proof that a single join key is
-//     numeric. The hash-index kernel (hashindex.go) takes its numeric
-//     fast path whenever the build values allow it, hinted or not, so
-//     the flag only informs EXPLAIN.
 //   - BuildDistinct/BuildRows pre-size the hash index from the
 //     statistics' cardinality estimates.
 //   - FuseBuild licenses filtering a select-fed build side during the
@@ -31,10 +27,6 @@ package eval
 type PlanHints struct {
 	// Semi maps SemiJoin node keys to their hints.
 	Semi map[string]SemiHint
-
-	// Shard maps UnifySemi node keys to their sharded-execution hints.
-	// Consulted only when Options.Shards > 1.
-	Shard map[string]ShardHint
 }
 
 // SemiHint is the hint for one (anti-)semijoin operator.
@@ -43,10 +35,6 @@ type SemiHint struct {
 	// the verify condition (and, when nothing remains, skipping
 	// per-candidate verification entirely: match = bucket non-empty).
 	SlimVerify bool
-	// NumKey records that the planner proved both key columns are
-	// numeric-typed base columns. The kernel detects numeric keys at
-	// run time, so the evaluator does not read it.
-	NumKey bool
 	// BuildRows is the estimated build-side row count.
 	BuildRows int64
 	// BuildDistinct is the estimated distinct key count on the build
@@ -69,27 +57,4 @@ func (ev *Evaluator) semiHint(key func() string) SemiHint {
 		return SemiHint{}
 	}
 	return ev.opts.Hints.Semi[key()]
-}
-
-// ShardHint is the sharded-execution hint for one unification
-// (anti-)semijoin operator; see plan.ShardPlan for how it is derived
-// from the null-rate and distinct-count statistics.
-type ShardHint struct {
-	// CoPartition licenses wild-bucket co-partitioning of the build
-	// side (shard.BuildUnify) instead of broadcasting it to every
-	// shard. The scheme is unconditionally sound — null-containing
-	// build rows go to a bucket every shard scans — so the planner's
-	// statistics gate only whether the per-shard buckets are worth
-	// building: it sets the flag when the build relation is null-free
-	// and spreads across at least as many distinct rows as shards.
-	CoPartition bool
-}
-
-// shardHint returns the hint for a unification-semijoin node, or the
-// zero hint (broadcast).
-func (ev *Evaluator) shardHint(key func() string) ShardHint {
-	if ev.opts.Hints == nil || ev.opts.Hints.Shard == nil {
-		return ShardHint{}
-	}
-	return ev.opts.Hints.Shard[key()]
 }

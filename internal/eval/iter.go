@@ -44,7 +44,8 @@ import (
 const batchSize = 1024
 
 // iter is one streaming operator. Implementations form the iterator
-// node family; iterName's type switch over it is exhaustive (astlint).
+// node family; iterName's type switch over it is exhaustive (vetcert's
+// famexhaustive rule).
 type iter interface {
 	next() ([]table.Row, error)
 	arity() int
@@ -59,8 +60,6 @@ func iterName(it iter) string {
 		return "scan"
 	case *filterIter:
 		return "filter"
-	case *gatherIter:
-		return "shard-gather"
 	case *projectIter:
 		return "project"
 	case *limitIter:
@@ -180,51 +179,6 @@ func (it *filterIter) next() ([]table.Row, error) {
 func (it *filterIter) arity() int { return it.child.arity() }
 func (it *filterIter) close()     { it.child.close() }
 func (it *filterIter) isIter()    {}
-
-// gatherIter is the streaming engine's scatter-gather filter: each
-// pulled batch is hash-routed across the engine shards and gathered
-// back in batch order — the per-batch counterpart of the sharded
-// filterTable scan. It is a separate node rather than a branch inside
-// filterIter so traces and iterName make the scatter boundary visible.
-// Per-batch cost is charged here exactly as filterIter charges it, so
-// Stats and budget behaviour are byte-identical to an unsharded run.
-type gatherIter struct {
-	ev    *Evaluator
-	child iter
-	cond  algebra.Cond
-}
-
-func (ev *Evaluator) newGatherIter(child iter, cond algebra.Cond) (*gatherIter, error) {
-	cond, err := ev.resolveScalars(cond)
-	if err != nil {
-		child.close()
-		return nil, err
-	}
-	return &gatherIter{ev: ev, child: child, cond: cond}, nil
-}
-
-func (it *gatherIter) next() ([]table.Row, error) {
-	for {
-		batch, err := it.child.next()
-		if batch == nil || err != nil {
-			return nil, err
-		}
-		if err := it.ev.charge("filter", int64(len(batch))); err != nil {
-			return nil, err
-		}
-		out, err := it.ev.scatterFilterBatch(it.cond, batch)
-		if err != nil {
-			return nil, err
-		}
-		if len(out) > 0 {
-			return out, nil
-		}
-	}
-}
-
-func (it *gatherIter) arity() int { return it.child.arity() }
-func (it *gatherIter) close()     { it.child.close() }
-func (it *gatherIter) isIter()    {}
 
 // projectIter rewrites each row onto the projection's column list.
 type projectIter struct {

@@ -7,7 +7,6 @@ import (
 
 	"certsql/internal/algebra"
 	"certsql/internal/guard"
-	"certsql/internal/shard"
 	"certsql/internal/table"
 	"certsql/internal/value"
 )
@@ -218,16 +217,7 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 				ev.note("hash join + %s -> %d rows", leaves[next].Key(), cur.Len())
 			}
 		} else {
-			// No connecting hash edge: Cartesian step with the smallest
-			// leaf. Under sharded execution, when a residual unification
-			// edge connects the joined set to that same leaf, the step
-			// runs co-partitioned instead (unifyProduct): the |cur|·|leaf|
-			// product the unsharded engine faithfully materializes shrinks
-			// to each probe's bucket plus the wild rows. The leaf choice
-			// deliberately stays the unsharded one — product-then-filter
-			// and unify-product agree on rows and order only step for
-			// step, so diverging on join order would break the
-			// shard-ablation byte identity.
+			// No connecting edge: Cartesian step with the smallest leaf.
 			next = -1
 			for i := 0; i < n; i++ {
 				if joined[i] {
@@ -237,49 +227,10 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 					next = i
 				}
 			}
-			uniRes := -1
-			var uniCur, uniLeafCol int
-			if ev.opts.shardCount() > 1 {
-				for ri, c := range residuals {
-					if appliedRes[ri] {
-						continue
-					}
-					a, b, ok := unifyEdgeOf(c)
-					if !ok {
-						continue
-					}
-					if pos[a] < 0 { // orient: a already joined, b pending
-						a, b = b, a
-					}
-					if pos[a] < 0 || pos[b] >= 0 || leafOf(b) != next {
-						continue
-					}
-					uniRes, uniCur, uniLeafCol = ri, pos[a], b-offsets[next]
-					break
-				}
-			}
-			if uniRes >= 0 {
-				appliedRes[uniRes] = true
-				curArity := cur.Arity()
-				remapped := algebra.MapCols(residuals[uniRes], func(col int) int {
-					if leafOf(col) == next {
-						return curArity + col - offsets[next]
-					}
-					return pos[col]
-				})
-				resolved, err := ev.resolveScalars(remapped)
-				if err != nil {
-					return nil, err
-				}
-				if cur, err = ev.unifyProduct(cur, filtered[next], uniCur, uniLeafCol, resolved); err != nil {
-					return nil, err
-				}
-			} else {
-				var err error
-				cur, err = ev.product(cur, filtered[next])
-				if err != nil {
-					return nil, err
-				}
+			var err error
+			cur, err = ev.product(cur, filtered[next])
+			if err != nil {
+				return nil, err
 			}
 		}
 		base := cur.Arity() - leaves[next].Arity()
@@ -326,10 +277,10 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 // hashJoin joins l and r on equality of the given column lists. Output
 // rows are l ++ r, ordered by l row and, within one l row, by ascending
 // r row: the order of a nested loop over l, then r. The hash index
-// (hashindex.go) goes on the smaller input — r on ties, and always r
-// under sharded execution. Building on r probes l in order; building on
-// l scans r in order and collects match pairs, which a stable counting
-// sort by l row puts back into the same order. Either way the operator
+// (hashindex.go) goes on the smaller input — r on ties. Building on r
+// probes l in order; building on l scans r in order and collects match
+// pairs, which a stable counting sort by l row puts back into the same
+// order. Either way the operator
 // charges |l| + |r| + one unit per output row, so results, Stats and
 // budget trips do not depend on the orientation. Under SQL3VL rows with
 // null key values cannot match (A = NULL is unknown); under naive
@@ -338,7 +289,7 @@ func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Tab
 	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
 		return nil, err
 	}
-	if l.Len() < r.Len() && ev.opts.shardCount() == 1 {
+	if l.Len() < r.Len() {
 		return ev.hashJoinBuildLeft(l, r, lCols, rCols)
 	}
 	idx, err := ev.buildIndex(r.Rows(), rCols, r.Len(), nil)
@@ -516,11 +467,6 @@ type semiPlan struct {
 	lCols, rCols []int
 	size         int        // pre-size for an index over r
 	idx          *hashIndex // index over r, set by buildSemi
-	// uni is the keyed co-partition of the build side on a nested-loop
-	// plan's unification edge — built only under sharded execution
-	// (copartition.go); uniCol is the probe-side key column.
-	uni    *shard.KeyedBuild
-	uniCol int
 }
 
 // prepSemi evaluates the right side and plans the operator: extracts
@@ -617,19 +563,7 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 		}
 	}
 	// Nested loop: the "confused optimizer" path that conditions of the
-	// form (A = B OR B IS NULL) force, per Section 7 of the paper. Under
-	// sharded execution the very disjunct that defeated hash-key
-	// extraction is a unification edge, and the shard layer prunes the
-	// scan with a keyed wild-bucket co-partition of the build side —
-	// same verdict per probe, ~Shards× fewer comparisons.
-	if k := ev.opts.shardCount(); k > 1 {
-		if lc, rc, ok := spanningUnifyEdge(cond, nL); ok {
-			p.uni = shard.BuildKeyed(p.r.Rows(), rc, k)
-			p.uniCol = lc
-			ev.note("nested-loop %s co-partitioned on probe #%d ≈ build #%d over %d shards (%d wild rows)",
-				p.name, lc, nL+rc, k, len(p.uni.Wild))
-		}
-	}
+	// form (A = B OR B IS NULL) force, per Section 7 of the paper.
 	ev.stats.NestedLoopJoins++
 	ev.note("nested-loop %s vs %d rows", p.name, p.r.Len())
 	return p, nil
@@ -637,9 +571,9 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 
 // buildsLeft reports whether a keyed plan should index its probe side
 // of nL rows, already materialized, rather than r: when that side is
-// the smaller input and execution is unsharded.
+// the smaller input.
 func (ev *Evaluator) buildsLeft(p *semiPlan, nL int) bool {
-	return len(p.lCols) > 0 && nL < p.r.Len() && ev.opts.shardCount() == 1
+	return len(p.lCols) > 0 && nL < p.r.Len()
 }
 
 // buildSemi indexes r for a keyed plan, so that probeSemi can stream
@@ -788,9 +722,7 @@ func (ev *Evaluator) reverseSemi(p *semiPlan, lRows []table.Row) ([]table.Row, e
 
 // semiMatch probes one row against the plan. row is the caller-owned
 // scratch buffer for candidate verification (one per worker); c
-// supplies the partition's cost counters. Shared by the chunked probe
-// (probeSemi) and the sharded probe (scatterProbeSemi), so the
-// per-candidate cost accounting stays identical between them.
+// supplies the partition's cost counters.
 func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lr table.Row) (bool, error) {
 	if p.idx != nil {
 		c.st.costUnits++
@@ -814,32 +746,7 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lr table.Ro
 		}
 		return false, nil
 	}
-	match := false
 	copy(row, lr)
-	if p.uni != nil && !lr[p.uniCol].IsNull() {
-		// Keyed co-partition (sharded execution): only the probe key's
-		// bucket plus the wild rows can satisfy the plan's unification
-		// edge, and the full condition still decides each candidate —
-		// the same verdict the full scan reaches, ~Shards× fewer
-		// evaluations. A null probe key can unify into any bucket and
-		// takes the full scan below.
-		var err error
-		p.uni.EachCandidate(lr[p.uniCol], func(ri int) bool {
-			c.st.costUnits++
-			copy(row[p.nL:], p.r.Row(ri))
-			v, e := ev.evalCond(p.cond, row)
-			if e != nil {
-				err = e
-				return false
-			}
-			if v.IsTrue() {
-				match = true
-				return false
-			}
-			return true
-		})
-		return match, err
-	}
 	for _, rr := range p.r.Rows() {
 		c.st.costUnits++
 		copy(row[p.nL:], rr)
@@ -848,24 +755,18 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lr table.Ro
 			return false, err
 		}
 		if v.IsTrue() {
-			match = true
-			break
+			return true, nil
 		}
 	}
-	return match, nil
+	return false, nil
 }
 
 // probeSemi probes lRows against the plan and returns the qualifying
 // rows in input order. The probe rows are independent, so the scan
 // partitions across workers — the single largest lever on the
 // Figure 4 / Q⁺4 cost — and partition outputs concatenate in order,
-// keeping results deterministic at any Parallelism. With Shards > 1
-// the partitioning is by content hash instead of contiguous chunks
-// (scatterProbeSemi), with the same result bytes.
+// keeping results deterministic at any Parallelism.
 func (ev *Evaluator) probeSemi(p *semiPlan, lRows []table.Row) ([]table.Row, error) {
-	if ev.opts.shardCount() > 1 {
-		return ev.scatterProbeSemi(p, lRows)
-	}
 	chunks := make([][]table.Row, ev.opts.workers())
 	err := ev.runChunks(len(lRows), "semijoin/probe", func(c *chunk) error {
 		if err := c.fault(guard.SiteSemijoinProbe); err != nil {

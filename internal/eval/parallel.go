@@ -27,7 +27,7 @@ import (
 // Workers never touch the evaluator's mutable state: they may only call
 // evalCond (after resolveScalars has substituted scalar subqueries on the
 // coordinating goroutine), accumulate counters in their chunkStats
-// shard, and append to their own output buffer. Trace notes are emitted
+// share, and append to their own output buffer. Trace notes are emitted
 // by the coordinator only.
 
 // minParallelRows is the smallest probe side worth fanning out; below
@@ -48,8 +48,8 @@ func (o Options) workers() int {
 	}
 }
 
-// chunkStats is the per-partition shard of the Stats counters touched
-// inside probe loops; shards are merged into ev.stats when the operator
+// chunkStats is the per-partition share of the Stats counters touched
+// inside probe loops; shares are merged into ev.stats when the operator
 // finishes.
 type chunkStats struct {
 	costUnits int64
@@ -124,7 +124,7 @@ func (c *chunk) fault(site guard.Site) error { return c.gov.Fault(site) }
 // as failing with that error. Worker panics are recovered into
 // *guard.InternalError values carrying the operator path and stack —
 // a panicking worker must never kill the process or wedge wg.Wait.
-// All shards — including those of halted partitions — are merged into
+// All shares — including those of halted partitions — are merged into
 // ev.stats with atomic adds, so counters are consistent even when the
 // operator fails mid-flight.
 func (ev *Evaluator) runChunks(n int, op string, body func(c *chunk) error) error {
@@ -165,7 +165,7 @@ func (ev *Evaluator) runChunksOpt(n int, op string, precharged bool, body func(c
 	}
 
 	errs := make([]error, workers)
-	shards := make([]chunkStats, workers)
+	shares := make([]chunkStats, workers)
 	var wg sync.WaitGroup
 	lo := 0
 	for part := 0; part < workers; part++ {
@@ -182,7 +182,7 @@ func (ev *Evaluator) runChunksOpt(n int, op string, precharged bool, body func(c
 					errs[c.part] = guard.NewInternalError(fmt.Sprintf("%s/worker[%d]", op, c.part), v)
 					halt.Store(true)
 				}
-				// Atomic merge: shards may finish while others still
+				// Atomic merge: partitions may finish while others still
 				// run, and Stats must never be torn even mid-operator.
 				atomic.AddInt64(&ev.stats.CostUnits, c.st.costUnits)
 			}()
@@ -202,7 +202,7 @@ func (ev *Evaluator) runChunksOpt(n int, op string, precharged bool, body func(c
 				errs[c.part] = err
 				halt.Store(true)
 			}
-		}(&chunk{part: part, lo: lo, hi: hi, st: &shards[part], halt: &halt, gov: ev.gov, op: op, precharged: precharged})
+		}(&chunk{part: part, lo: lo, hi: hi, st: &shares[part], halt: &halt, gov: ev.gov, op: op, precharged: precharged})
 		lo = hi
 	}
 	wg.Wait()
@@ -370,20 +370,6 @@ func (ev *Evaluator) filterTable(t *table.Table, cond algebra.Cond) (*table.Tabl
 		return nil, err
 	}
 	rows := t.Rows()
-	if ev.opts.shardCount() > 1 {
-		kept, err := ev.scatterKeep("filter", rows, false, "", func(c *chunk, lr table.Row) (bool, error) {
-			c.st.costUnits++
-			v, err := ev.evalCond(cond, lr)
-			if err != nil {
-				return false, err
-			}
-			return v.IsTrue(), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return concatChunks(ev.gov, t.Arity(), [][]table.Row{kept})
-	}
 	chunks := make([][]table.Row, ev.opts.workers())
 	err = ev.runChunks(t.Len(), "filter", func(c *chunk) error {
 		var out []table.Row

@@ -12,6 +12,7 @@ import (
 	"certsql/internal/certain"
 	"certsql/internal/compile"
 	"certsql/internal/eval"
+	"certsql/internal/guard"
 	"certsql/internal/sql"
 	"certsql/internal/table"
 	"certsql/internal/tpch"
@@ -132,7 +133,7 @@ func TestParallelConcurrentEvaluators(t *testing.T) {
 
 // TestUnifySemiCostBudget asserts that the quadratic unification
 // semijoin degrades with ErrTooLarge instead of running unbounded once
-// its |L|·|R| cost exceeds MaxCostUnits.
+// its |L|·|R| cost exceeds the Governor's MaxCostUnits.
 func TestUnifySemiCostBudget(t *testing.T) {
 	db := newDB(t)
 	for i := 0; i < 5; i++ {
@@ -141,13 +142,13 @@ func TestUnifySemiCostBudget(t *testing.T) {
 	}
 	e := algebra.UnifySemi{L: baseR, R: baseS}
 
-	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, MaxCostUnits: 10}).Eval(e); !errors.Is(err, eval.ErrTooLarge) {
+	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, Governor: guard.Background(guard.Limits{MaxCostUnits: 10})}).Eval(e); !errors.Is(err, eval.ErrTooLarge) {
 		t.Fatalf("cost 25 with budget 10: got %v, want ErrTooLarge", err)
 	}
 	// The governor's cost budget is cumulative across operators: the
 	// two 5-row scans charge 10 units before the semijoin's 25, so the
 	// whole evaluation needs 35.
-	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, MaxCostUnits: 35}).Eval(e); err != nil {
+	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, Governor: guard.Background(guard.Limits{MaxCostUnits: 35})}).Eval(e); err != nil {
 		t.Fatalf("cost 35 with budget 35: %v", err)
 	}
 }
@@ -161,7 +162,7 @@ func TestDivisionCostBudget(t *testing.T) {
 	}
 	e := algebra.Division{L: baseR, R: algebra.Project{Child: baseS, Cols: []int{0}}}
 
-	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, MaxCostUnits: 10}).Eval(e); !errors.Is(err, eval.ErrTooLarge) {
+	if _, err := eval.New(db, eval.Options{Semantics: value.Naive, Governor: guard.Background(guard.Limits{MaxCostUnits: 10})}).Eval(e); !errors.Is(err, eval.ErrTooLarge) {
 		t.Fatalf("division with budget 10: got %v, want ErrTooLarge", err)
 	}
 	if _, err := eval.New(db, eval.Options{Semantics: value.Naive}).Eval(e); err != nil {
@@ -184,7 +185,7 @@ func TestParallelCancelsOnErrTooLarge(t *testing.T) {
 		Child: algebra.Product{L: baseR, R: baseS},
 		Cond:  algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Col{Idx: 2}},
 	}
-	_, err := eval.New(db, eval.Options{Semantics: value.SQL3VL, MaxRows: 1000, Parallelism: 4}).Eval(join)
+	_, err := eval.New(db, eval.Options{Semantics: value.SQL3VL, Governor: guard.Background(guard.Limits{MaxRows: 1000}), Parallelism: 4}).Eval(join)
 	if !errors.Is(err, eval.ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}

@@ -251,9 +251,6 @@ func (ev *Evaluator) buildIterNode(e algebra.Expr, sh *Shape) (iter, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ev.opts.shardCount() > 1 {
-			return ev.newGatherIter(child, e.Cond)
-		}
 		return ev.newFilterIter(child, e.Cond)
 
 	case algebra.Project:

@@ -19,40 +19,26 @@ func sharedSel() algebra.Expr {
 	return algebra.Union{L: sel, R: sel}
 }
 
-// TestOptionConflict pins the budget-seam bugfix: the deprecated
-// Options.MaxRows / MaxCostUnits used to be silently ignored when a
-// Governor was also set. Now the combination is an explicit
-// configuration error, and the legacy fields keep working when no
-// Governor is given.
-func TestOptionConflict(t *testing.T) {
+// TestGovernorLimitsEnforced checks that the row and cost budgets
+// configured on the Governor are the ones an evaluation enforces.
+func TestGovernorLimitsEnforced(t *testing.T) {
 	db := newDB(t)
 	ins(t, db, "r",
 		table.Row{value.Int(1), value.Int(1)},
 		table.Row{value.Int(2), value.Int(1)},
 		table.Row{value.Int(3), value.Int(1)},
 	)
-	for _, opts := range []eval.Options{
-		{Governor: guard.Background(guard.Limits{}), MaxRows: 5},
-		{Governor: guard.Background(guard.Limits{}), MaxCostUnits: 5},
-	} {
-		_, err := eval.New(db, opts).Eval(baseR)
-		if !errors.Is(err, eval.ErrOptionConflict) {
-			t.Errorf("Governor plus legacy budget fields: got %v, want ErrOptionConflict", err)
-		}
-	}
-	// A Governor alone, or the legacy fields alone, are both fine —
-	// and the legacy fields still enforce their budgets.
 	if _, err := eval.New(db, eval.Options{Governor: guard.Background(guard.Limits{})}).Eval(baseR); err != nil {
-		t.Errorf("Governor without legacy fields: %v", err)
+		t.Errorf("default limits: %v", err)
 	}
-	_, err := eval.New(db, eval.Options{MaxRows: 2}).Eval(baseR)
+	_, err := eval.New(db, eval.Options{Governor: guard.Background(guard.Limits{MaxRows: 2})}).Eval(baseR)
 	if !errors.Is(err, guard.ErrRowBudget) {
-		t.Errorf("legacy MaxRows=2 over a 3-row scan: got %v, want ErrRowBudget", err)
+		t.Errorf("MaxRows=2 over a 3-row scan: got %v, want ErrRowBudget", err)
 	}
 	sel := algebra.Select{Child: baseR, Cond: algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: 0}, R: algebra.Lit{Val: value.Int(1)}}}
-	_, err = eval.New(db, eval.Options{MaxCostUnits: 1}).Eval(sel)
+	_, err = eval.New(db, eval.Options{Governor: guard.Background(guard.Limits{MaxCostUnits: 1})}).Eval(sel)
 	if !errors.Is(err, eval.ErrTooLarge) {
-		t.Errorf("legacy MaxCostUnits=1: got %v, want a budget error", err)
+		t.Errorf("MaxCostUnits=1: got %v, want a budget error", err)
 	}
 }
 

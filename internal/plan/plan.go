@@ -37,8 +37,8 @@ import (
 	"certsql/internal/stats"
 )
 
-// RuleKind identifies one planner rule. tools/astlint checks that any
-// switch over RuleKind names every Rule* constant.
+// RuleKind identifies one planner rule. vetcert's enumswitch rule
+// checks that any switch over RuleKind names every Rule* constant.
 type RuleKind uint8
 
 // Planner rule kinds.
@@ -67,9 +67,6 @@ const (
 	// semijoin's per-candidate verify condition (bucket co-membership
 	// already proves them).
 	RuleSlimVerify
-	// RuleNumKey selects the specialized numeric hash index for
-	// single-column numeric semijoin keys.
-	RuleNumKey
 	// RuleHashPresize pre-sizes semijoin hash indexes from the
 	// statistics' distinct-value estimates.
 	RuleHashPresize
@@ -81,7 +78,7 @@ const (
 // RuleKinds lists every rule kind, in declaration order.
 var RuleKinds = []RuleKind{
 	RulePushdownSelect, RuleMergeSelect, RuleNullTestElim, RuleAntiSplit,
-	RuleProjectCollapse, RuleSlimVerify, RuleNumKey, RuleHashPresize,
+	RuleProjectCollapse, RuleSlimVerify, RuleHashPresize,
 	RuleFuseBuild,
 }
 
@@ -101,8 +98,6 @@ func (k RuleKind) String() string {
 		return "project-collapse"
 	case RuleSlimVerify:
 		return "slim-verify"
-	case RuleNumKey:
-		return "num-key"
 	case RuleHashPresize:
 		return "hash-presize"
 	case RuleFuseBuild:
@@ -114,8 +109,8 @@ func (k RuleKind) String() string {
 
 // Rule is the planner-rule family: one implementation per RuleKind,
 // carrying the rule's self-description for EXPLAIN and documentation.
-// The marker method keeps the family closed so astlint can check
-// switches over it for exhaustiveness.
+// The marker method keeps the family closed so vetcert's famexhaustive
+// rule can check switches over it for exhaustiveness.
 type Rule interface {
 	isRule()
 	Kind() RuleKind
@@ -142,9 +137,6 @@ type ProjectCollapse struct{}
 // SlimVerify implements RuleSlimVerify.
 type SlimVerify struct{}
 
-// NumKey implements RuleNumKey.
-type NumKey struct{}
-
 // HashPresize implements RuleHashPresize.
 type HashPresize struct{}
 
@@ -157,7 +149,6 @@ func (NullTestElim) isRule()    {}
 func (AntiSplit) isRule()       {}
 func (ProjectCollapse) isRule() {}
 func (SlimVerify) isRule()      {}
-func (NumKey) isRule()          {}
 func (HashPresize) isRule()     {}
 func (FuseBuild) isRule()       {}
 
@@ -178,9 +169,6 @@ func (ProjectCollapse) Kind() RuleKind { return RuleProjectCollapse }
 
 // Kind returns RuleSlimVerify.
 func (SlimVerify) Kind() RuleKind { return RuleSlimVerify }
-
-// Kind returns RuleNumKey.
-func (NumKey) Kind() RuleKind { return RuleNumKey }
 
 // Kind returns RuleHashPresize.
 func (HashPresize) Kind() RuleKind { return RuleHashPresize }
@@ -219,11 +207,6 @@ func (SlimVerify) Describe() string {
 }
 
 // Describe implements Rule.
-func (NumKey) Describe() string {
-	return "hash single numeric join keys by their float64 encoding instead of a string tuple key; bucketing is bit-identical"
-}
-
-// Describe implements Rule.
 func (HashPresize) Describe() string {
 	return "pre-size semijoin hash indexes from distinct-value estimates"
 }
@@ -236,7 +219,7 @@ func (FuseBuild) Describe() string {
 // Rules holds one instance of every planner rule, in RuleKinds order.
 var Rules = []Rule{
 	PushdownSelect{}, MergeSelect{}, NullTestElim{}, AntiSplit{},
-	ProjectCollapse{}, SlimVerify{}, NumKey{}, HashPresize{}, FuseBuild{},
+	ProjectCollapse{}, SlimVerify{}, HashPresize{}, FuseBuild{},
 }
 
 // PremiseKind classifies what a premise asserts about current data.

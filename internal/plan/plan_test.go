@@ -234,8 +234,8 @@ func TestSemiHints(t *testing.T) {
 	if !ok {
 		t.Fatalf("no hint under the semijoin's key; hints: %v", res.Hints.Semi)
 	}
-	if !h.SlimVerify || !h.NumKey {
-		t.Fatalf("hint = %+v, want SlimVerify and NumKey", h)
+	if !h.SlimVerify {
+		t.Fatalf("hint = %+v, want SlimVerify", h)
 	}
 	if h.BuildDistinct != 1 { // s.c holds one non-null distinct value
 		t.Fatalf("BuildDistinct = %d, want 1", h.BuildDistinct)

@@ -548,17 +548,6 @@ func (o *optimizer) semiHintFor(sj algebra.SemiJoin) (eval.SemiHint, bool) {
 		h.SlimVerify = true
 		o.fired[RuleSlimVerify] = true
 	}
-	// Numeric-key specialization: a single key pair where both sides
-	// are numeric-typed base columns, mirroring the tuple-key encoding
-	// exactly (no premise needed — bucketing is bit-identical).
-	if len(lCols) == 1 {
-		lk, lok := originType(sj.L, o.sch, lCols[0])
-		rk, rok := originType(sj.R, o.sch, rCols[0])
-		if lok && rok && isNumericKind(lk) && isNumericKind(rk) {
-			h.NumKey = true
-			o.fired[RuleNumKey] = true
-		}
-	}
 	// Fused build: a selection directly over a stored relation can be
 	// applied inside the hash build loop, never materializing the
 	// filtered table. Restricted to scalar-free conditions over Base

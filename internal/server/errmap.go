@@ -17,11 +17,11 @@ const statusClientClosedRequest = 499
 // statusFor maps the engine's error taxonomy onto HTTP statuses and
 // machine-readable codes. The switch names every guard sentinel
 // individually — including each member under the ErrBudget umbrella —
-// and tools/astlint enforces that it stays exhaustive as sentinels are
-// added, so a future failure mode can never silently fall through to
-// the catch-all. The ErrBudget case itself remains as the safety net
-// for an unnamed budget sentinel: resource exhaustion must never be
-// reported as a client error.
+// and vetcert's sentinelswitch rule enforces that it stays exhaustive
+// as sentinels are added, so a future failure mode can never silently
+// fall through to the catch-all. The ErrBudget case itself remains as
+// the safety net for an unnamed budget sentinel: resource exhaustion
+// must never be reported as a client error.
 func statusFor(err error) (status int, code string) {
 	var internal *guard.InternalError
 	switch {

@@ -67,22 +67,11 @@ type Config struct {
 	// so serving deployments usually set this low.
 	Parallelism int
 
-	// Shards is the engine shard count queries scatter across (0 or 1 =
-	// unsharded). Session catalogs are wrapped in shard.PartitionedStore
-	// so /metrics reports per-shard partition row counts, and admission
-	// is shard-aware: while the server is loaded — every execution slot
-	// held or requests queueing — queries run unsharded, spending the
-	// cores on inter-query concurrency instead of intra-query fan-out.
-	// Results are byte-identical either way.
+	// Shards is ignored: the engine has one fan-out, Parallelism.
+	//
+	// Deprecated: kept only because the servebench module sets it;
+	// the next change to that benchmark deletes the field.
 	Shards int
-}
-
-// shards pins the configured shard count to at least 1.
-func (c Config) shards() int {
-	if c.Shards < 1 {
-		return 1
-	}
-	return c.Shards
 }
 
 func (c Config) maxConcurrent() int {
@@ -125,7 +114,7 @@ func New(cfg Config) *Server {
 		panic("server: Config.Seed is required")
 	}
 	s := newServer(cfg)
-	s.sess.Store(newSessions(cfg.Seed, cfg.Durable, cfg.shards()))
+	s.sess.Store(newSessions(cfg.Seed, cfg.Durable))
 	return s
 }
 
@@ -148,7 +137,7 @@ func (s *Server) Activate(seed *table.Database, durable Catalog) {
 	if seed == nil {
 		panic("server: Activate requires a seed catalog")
 	}
-	if !s.sess.CompareAndSwap(nil, newSessions(seed, durable, s.cfg.shards())) {
+	if !s.sess.CompareAndSwap(nil, newSessions(seed, durable)) {
 		panic("server: Activate on a live server")
 	}
 	s.recovering.Store(false)
@@ -299,24 +288,8 @@ func (s *Server) options(ctx context.Context, o api.QueryOptions) (context.Conte
 		MaxMemBytes:  lim.MaxMemBytes,
 		Degrade:      o.Degrade,
 		Parallelism:  s.cfg.Parallelism,
-		Shards:       s.shardCount(),
 	}
 	return ctx, cancel, opts, nil
-}
-
-// shardCount resolves the shard count for one admitted query: the
-// configured value, dropped to an unsharded run while the server is
-// loaded. Scatter-gather spends cores on one query; when every
-// execution slot is held (options runs after admission, so "every slot
-// but ours" means saturation) or requests are queueing, those cores
-// serve concurrent queries instead. The drop is invisible in results —
-// sharding is byte-identical by construction — and shows up only in
-// latency, which is exactly what the loadtest harness measures.
-func (s *Server) shardCount() int {
-	if s.cfg.shards() > 1 && s.adm.loaded() {
-		return 1
-	}
-	return s.cfg.shards()
 }
 
 // clampLimits caps each budget at the configured ceiling. A zero
@@ -570,7 +543,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g := gauges{
 		queueDepth:   s.adm.queueDepth(),
 		inFlight:     s.adm.inFlight(),
-		shards:       s.cfg.shards(),
 		shuttingDown: s.draining.Load(),
 	}
 	if ss := s.sessions(); ss != nil {
@@ -578,7 +550,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		g.planEntries = ss.planEntries()
 		g.catalogVers = ss.snapshotVersions()
 		g.tableStats = ss.statsGauges()
-		g.shardRows = ss.partitionGauges()
 	} else {
 		g.recovering = true
 	}

@@ -349,7 +349,8 @@ func TestKeyAgreesWithConstEqual(t *testing.T) {
 // TestFoldKeyMatchesAppendKey property-checks that folding a row's
 // values through FoldKey equals FNV-1a over the concatenated AppendKey
 // encodings — the allocation-free fold must hash exactly the canonical
-// bytes, or shard routing would disagree with key equality.
+// bytes, or a row digest built from it would disagree with key
+// equality.
 func TestFoldKeyMatchesAppendKey(t *testing.T) {
 	const prime = 1099511628211
 	rng := rand.New(rand.NewSource(11))

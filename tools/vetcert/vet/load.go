@@ -118,9 +118,9 @@ func (l *Loader) importPathFor(abs string) (string, error) {
 	}
 	rel, err := filepath.Rel(l.root, abs)
 	if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
-		// A target outside the module and every corpus root — the astlint
-		// shim's ad-hoc test packages live in temp dirs — gets a synthetic
-		// import path; its own imports still resolve through the loader.
+		// A target outside the module and every corpus root (a directory
+		// named on the command line) gets a synthetic import path; its
+		// own imports still resolve through the loader.
 		if path, ok := l.adhoc[abs]; ok {
 			return path, nil
 		}

@@ -25,6 +25,17 @@ func ruleLabel(k plan.RuleKind) string {
 	}
 }
 
+// ruleLabelOne: positive — every missing kind is named, not just the
+// first.
+func ruleLabelOne(k plan.RuleKind) string {
+	switch k { // want "switch over plan.RuleKind misses: plan.RuleB, plan.RuleC"
+	case plan.RuleA:
+		return "a"
+	default:
+		return "?"
+	}
+}
+
 // ruleLabelAll: negative — every RuleKind constant named; the default
 // is then a legitimate future-proofing fallback.
 func ruleLabelAll(k plan.RuleKind) string {
@@ -74,8 +85,34 @@ func phaseLoudDefault(p phase) string {
 	}
 }
 
+// isRuleA: suppressed — the legacy astlint annotation exempts a
+// partial RuleKind dispatch.
+func isRuleA(k plan.RuleKind) bool {
+	// astlint:partial — only the one kind matters here.
+	switch k {
+	case plan.RuleA:
+		return true
+	default:
+		return false
+	}
+}
+
+// ruleOf: negative — RuleKind constants returned from case bodies are
+// results, not dispatch conditions.
+func ruleOf(kind int) plan.RuleKind {
+	switch kind {
+	case 1:
+		return plan.RuleB
+	default:
+		return plan.RuleA
+	}
+}
+
 var (
+	_ = isRuleA
+	_ = ruleOf
 	_ = ruleLabel
+	_ = ruleLabelOne
 	_ = ruleLabelAll
 	_ = phaseNoDefault
 	_ = phaseSilentDefault

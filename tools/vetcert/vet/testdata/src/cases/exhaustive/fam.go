@@ -63,7 +63,20 @@ func partialWalk(c algebra.Cond) int {
 	return 0
 }
 
+// builtinSwitch: negative — a type switch over builtin types touches
+// no closed family.
+func builtinSwitch(x any) int {
+	switch x.(type) {
+	case int:
+		return 1
+	case string:
+		return 2
+	}
+	return 0
+}
+
 var (
+	_ = builtinSwitch
 	_ = missingNoDefault
 	_ = silentDefault
 	_ = loudDefault

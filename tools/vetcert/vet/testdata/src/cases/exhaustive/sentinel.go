@@ -25,6 +25,19 @@ func classify(err error) int {
 	}
 }
 
+// status: positive — a default does not excuse the sentinels left
+// out; every one of them is named in the finding.
+func status(err error) int {
+	switch { // want "switch dispatches on guard sentinels but misses: guard.ErrCostBudget, guard.ErrDeadline, guard.ErrMemBudget, guard.ErrRowBudget"
+	case errors.Is(err, guard.ErrBudget):
+		return 507
+	case errors.Is(err, guard.ErrCanceled):
+		return 499
+	default:
+		return 400
+	}
+}
+
 // classifyAll: negative — every sentinel the taxonomy exports is
 // named.
 func classifyAll(err error) int {
@@ -68,8 +81,22 @@ func classifySuppressed(err error) int {
 	}
 }
 
+// isBudgetPartial: suppressed — the legacy astlint annotation also
+// exempts a sentinel dispatch.
+func isBudgetPartial(err error) bool {
+	// astlint:partial — only the umbrella matters here.
+	switch {
+	case errors.Is(err, guard.ErrBudget):
+		return true
+	default:
+		return false
+	}
+}
+
 var (
+	_ = isBudgetPartial
 	_ = classify
+	_ = status
 	_ = classifyAll
 	_ = returnsSentinel
 	_ = classifySuppressed

@@ -15,7 +15,6 @@ func (g *Governor) ChargeCost(op string, n int64) error { return nil }
 func (g *Governor) ChargeMem(op string, n int64) error  { return nil }
 func (g *Governor) ReleaseMem(n int64)                  {}
 func (g *Governor) Fault(site string) error             { return nil }
-func (g *Governor) Done() <-chan struct{}               { return nil }
 
 var (
 	ErrBudget     = errors.New("budget")

@@ -14,10 +14,9 @@
 //
 // A Rule inspects one type-checked package at a time through a Pass
 // and reports positioned findings. Rules register themselves in an
-// ordered registry; the driver (tools/vetcert, and the tools/astlint
-// compatibility shim) selects rules, loads packages, runs every
-// selected rule over every target, and aggregates the exit code:
-// 0 clean, 1 findings, 2 operational error.
+// ordered registry; the driver (tools/vetcert) selects rules, loads
+// packages, runs every selected rule over every target, and
+// aggregates the exit code: 0 clean, 1 findings, 2 operational error.
 //
 // Findings are suppressed line by line with
 //
