@@ -69,10 +69,13 @@ bench-memory:
 # appendix queries with byte-identical results (EXPERIMENTS.md records
 # the measured table). BenchmarkRoutes then times Q+1-Q+4 on the raw,
 # default and naive-planner routes, the table behind EXPERIMENTS.md's
-# "Why there is no sharding".
+# "Why there is no sharding". BenchmarkServedShapes times the eight
+# statement shapes servebench's hot workload serves (sf 0.005). Every
+# line reports B/op and allocs/op (EXPERIMENTS.md, "Materialize once").
 bench-plan:
-	$(GO) test -run '^$$' -bench BenchmarkPlannerSpeedup -benchtime 5x .
-	$(GO) test -run '^$$' -bench BenchmarkRoutes -benchtime 3x .
+	$(GO) test -run '^$$' -bench BenchmarkPlannerSpeedup -benchmem -benchtime 5x .
+	$(GO) test -run '^$$' -bench BenchmarkRoutes -benchmem -benchtime 3x .
+	$(GO) test -run '^$$' -bench BenchmarkServedShapes -benchmem -benchtime 20x .
 	$(GO) test -run '^TestPlannerSpeedup$$' -count=1 -v .
 
 # fuzz runs every native fuzz target for FUZZTIME each, under the race

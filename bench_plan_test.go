@@ -230,3 +230,41 @@ func BenchmarkRoutes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServedShapes times the eight statement shapes of
+// servebench's hot workload — Q1–Q4, each in standard and CERTAIN mode —
+// as certsqld runs them: prepared, cost-based planner, Parallelism 1,
+// on a TPC-H instance at sf 0.005 with 3% nulls. B/op is the
+// executor's allocation per execution (EXPERIMENTS.md, "Materialize
+// once"). Run with:
+//
+//	make bench-plan
+func BenchmarkServedShapes(b *testing.B) {
+	cfg := tpch.Config{ScaleFactor: 0.005, Seed: 1, NullRate: 0.03}
+	db := certsql.FromInternal(tpch.Generate(cfg))
+	rng := rand.New(rand.NewSource(1))
+	for _, q := range tpch.AllQueries {
+		params := q.Params(rng, cfg.Sizes())
+		for _, mode := range []string{"standard", "certain"} {
+			text, err := certsql.WithMode(q.SQL(), mode)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/%s", q, mode), func(b *testing.B) {
+				stmt, err := db.Prepare(text)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := stmt.ExecuteWithOptions(params, certsql.Options{Parallelism: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(res.Stats.CostUnits), "cost-units")
+				}
+			})
+		}
+	}
+}

@@ -9,92 +9,176 @@ import (
 	"certsql/internal/value"
 )
 
-// evalCond evaluates a condition over a row under the evaluator's
-// semantics. Under SQL3VL the result is three-valued with Kleene
-// connectives; under Naive it is two-valued (Unknown never arises).
-func (ev *Evaluator) evalCond(c algebra.Cond, row table.Row) (tvl.TV, error) {
+// condFn is a condition compiled by compileCond: it evaluates the
+// condition over a row under the evaluator's semantics. Under SQL3VL
+// the result is three-valued with Kleene connectives; under Naive it is
+// two-valued (Unknown never arises). Row loops compile their condition
+// once per operator and call it per row: walking the algebra tree for
+// every row cost about four times as much per atom.
+type condFn func(row table.Row) (tvl.TV, error)
+
+// compileCond compiles c. A node it cannot evaluate compiles to a
+// condition that fails on every row, so an error surfaces exactly where
+// a row reaches it, as it would in a tree walk.
+func (ev *Evaluator) compileCond(c algebra.Cond) condFn {
 	switch c := c.(type) {
 	case algebra.TrueCond:
-		return tvl.True, nil
+		return func(table.Row) (tvl.TV, error) { return tvl.True, nil }
 	case algebra.FalseCond:
-		return tvl.False, nil
+		return func(table.Row) (tvl.TV, error) { return tvl.False, nil }
 
 	case algebra.Cmp:
-		l, err := ev.operand(c.L, row)
-		if err != nil {
-			return tvl.False, err
+		op := c.Op
+		l, lok := direct(c.L)
+		r, rok := direct(c.R)
+		if lok && rok {
+			// Columns and literals, the operands of nearly every
+			// atom, are read inline.
+			return func(row table.Row) (tvl.TV, error) {
+				a, b := l.lit, r.lit
+				if l.col >= 0 {
+					if l.col >= len(row) {
+						return tvl.False, colRangeError(l.col, row)
+					}
+					a = row[l.col]
+				}
+				if r.col >= 0 {
+					if r.col >= len(row) {
+						return tvl.False, colRangeError(r.col, row)
+					}
+					b = row[r.col]
+				}
+				return ev.compare(op, a, b), nil
+			}
 		}
-		r, err := ev.operand(c.R, row)
-		if err != nil {
-			return tvl.False, err
+		lf, rf := ev.compileOperand(c.L), ev.compileOperand(c.R)
+		return func(row table.Row) (tvl.TV, error) {
+			a, err := lf(row)
+			if err != nil {
+				return tvl.False, err
+			}
+			b, err := rf(row)
+			if err != nil {
+				return tvl.False, err
+			}
+			return ev.compare(op, a, b), nil
 		}
-		return ev.compare(c.Op, l, r), nil
 
 	case algebra.Like:
-		o, err := ev.operand(c.Operand, row)
-		if err != nil {
-			return tvl.False, err
+		of, pf := ev.compileOperand(c.Operand), ev.compileOperand(c.Pattern)
+		negated := c.Negated
+		return func(row table.Row) (tvl.TV, error) {
+			o, err := of(row)
+			if err != nil {
+				return tvl.False, err
+			}
+			p, err := pf(row)
+			if err != nil {
+				return tvl.False, err
+			}
+			res := value.Like(ev.opts.Semantics, o, p)
+			if negated {
+				res = res.Not()
+			}
+			return res, nil
 		}
-		p, err := ev.operand(c.Pattern, row)
-		if err != nil {
-			return tvl.False, err
-		}
-		res := value.Like(ev.opts.Semantics, o, p)
-		if c.Negated {
-			res = res.Not()
-		}
-		return res, nil
 
 	case algebra.NullTest:
-		o, err := ev.operand(c.Operand, row)
-		if err != nil {
-			return tvl.False, err
+		of := ev.compileOperand(c.Operand)
+		negated := c.Negated
+		return func(row table.Row) (tvl.TV, error) {
+			o, err := of(row)
+			if err != nil {
+				return tvl.False, err
+			}
+			// IS NULL / IS NOT NULL are two-valued even in SQL.
+			res := tvl.FromBool(o.IsNull())
+			if negated {
+				res = res.Not()
+			}
+			return res, nil
 		}
-		// IS NULL / IS NOT NULL are two-valued even in SQL.
-		res := tvl.FromBool(o.IsNull())
-		if c.Negated {
-			res = res.Not()
-		}
-		return res, nil
 
 	case algebra.And:
-		res := tvl.True
-		for _, sub := range c.Conds {
-			v, err := ev.evalCond(sub, row)
-			if err != nil {
-				return tvl.False, err
+		subs := ev.compileConds(c.Conds)
+		return func(row table.Row) (tvl.TV, error) {
+			res := tvl.True
+			for _, sub := range subs {
+				v, err := sub(row)
+				if err != nil {
+					return tvl.False, err
+				}
+				res = res.And(v)
+				if res.IsFalse() {
+					return res, nil
+				}
 			}
-			res = res.And(v)
-			if res.IsFalse() {
-				return res, nil
-			}
+			return res, nil
 		}
-		return res, nil
 
 	case algebra.Or:
-		res := tvl.False
-		for _, sub := range c.Conds {
-			v, err := ev.evalCond(sub, row)
+		subs := ev.compileConds(c.Conds)
+		return func(row table.Row) (tvl.TV, error) {
+			res := tvl.False
+			for _, sub := range subs {
+				v, err := sub(row)
+				if err != nil {
+					return tvl.False, err
+				}
+				res = res.Or(v)
+				if res.IsTrue() {
+					return res, nil
+				}
+			}
+			return res, nil
+		}
+
+	case algebra.Not:
+		sub := ev.compileCond(c.C)
+		return func(row table.Row) (tvl.TV, error) {
+			v, err := sub(row)
 			if err != nil {
 				return tvl.False, err
 			}
-			res = res.Or(v)
-			if res.IsTrue() {
-				return res, nil
-			}
+			return v.Not(), nil
 		}
-		return res, nil
-
-	case algebra.Not:
-		v, err := ev.evalCond(c.C, row)
-		if err != nil {
-			return tvl.False, err
-		}
-		return v.Not(), nil
 
 	default:
-		return tvl.False, fmt.Errorf("eval: unknown condition %T", c)
+		err := fmt.Errorf("eval: unknown condition %T", c)
+		return func(table.Row) (tvl.TV, error) { return tvl.False, err }
 	}
+}
+
+func (ev *Evaluator) compileConds(cs []algebra.Cond) []condFn {
+	out := make([]condFn, len(cs))
+	for i, c := range cs {
+		out[i] = ev.compileCond(c)
+	}
+	return out
+}
+
+// directOperand is a column (col >= 0) or a literal, read without a
+// call.
+type directOperand struct {
+	col int
+	lit value.Value
+}
+
+// direct returns o as a directOperand when it is a non-negative column
+// or a literal.
+func direct(o algebra.Operand) (directOperand, bool) {
+	switch o := o.(type) {
+	case algebra.Col:
+		return directOperand{col: o.Idx}, o.Idx >= 0
+	case algebra.Lit:
+		return directOperand{col: -1, lit: o.Val}, true
+	default:
+		return directOperand{}, false
+	}
+}
+
+func colRangeError(col int, row table.Row) error {
+	return fmt.Errorf("eval: column #%d out of range for row of arity %d", col, len(row))
 }
 
 // compare evaluates one comparison atom under the active semantics.
@@ -116,22 +200,26 @@ func (ev *Evaluator) compare(op algebra.CmpOp, l, r value.Value) tvl.TV {
 	}
 }
 
-// operand resolves an operand against a row; scalar subqueries are
-// computed once per evaluator and cached (the paper's black-box
-// treatment of aggregate subqueries).
-func (ev *Evaluator) operand(o algebra.Operand, row table.Row) (value.Value, error) {
+// compileOperand compiles an operand's read from a row. Scalar
+// subqueries are computed once per evaluator and cached (the paper's
+// black-box treatment of aggregate subqueries), on the first row that
+// reads them; row loops resolve them beforehand (resolveScalars).
+func (ev *Evaluator) compileOperand(o algebra.Operand) func(row table.Row) (value.Value, error) {
 	switch o := o.(type) {
 	case algebra.Col:
-		if o.Idx < 0 || o.Idx >= len(row) {
-			return value.Value{}, fmt.Errorf("eval: column #%d out of range for row of arity %d", o.Idx, len(row))
+		return func(row table.Row) (value.Value, error) {
+			if o.Idx < 0 || o.Idx >= len(row) {
+				return value.Value{}, colRangeError(o.Idx, row)
+			}
+			return row[o.Idx], nil
 		}
-		return row[o.Idx], nil
 	case algebra.Lit:
-		return o.Val, nil
+		return func(table.Row) (value.Value, error) { return o.Val, nil }
 	case algebra.Scalar:
-		return ev.scalarValue(o)
+		return func(table.Row) (value.Value, error) { return ev.scalarValue(o) }
 	default:
-		return value.Value{}, fmt.Errorf("eval: unknown operand %T", o)
+		err := fmt.Errorf("eval: unknown operand %T", o)
+		return func(table.Row) (value.Value, error) { return value.Value{}, err }
 	}
 }
 

@@ -392,15 +392,7 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := table.New(len(e.Cols))
-		out.Grow(child.Len())
-		for _, r := range child.Rows() {
-			nr := make(table.Row, len(e.Cols))
-			for i, c := range e.Cols {
-				nr[i] = r[c]
-			}
-			out.Append(nr)
-		}
+		out := table.FromRows(len(e.Cols), projectRows(child.Rows(), e.Cols))
 		if err := ev.charge("project", int64(child.Len())); err != nil {
 			return nil, err
 		}
@@ -535,34 +527,14 @@ func (ev *Evaluator) evalUncached(e algebra.Expr) (*table.Table, error) {
 	}
 }
 
-// product materializes l × r, guarding the row budget.
+// product materializes l × r, guarding the row budget: a join block of
+// the two inputs, in that order, joined by one Cartesian step.
 func (ev *Evaluator) product(l, r *table.Table) (*table.Table, error) {
-	n := l.Len() * r.Len()
-	if l.Len() != 0 && n/l.Len() != r.Len() {
-		return nil, &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: "product",
-			Detail: fmt.Sprintf("product of %d × %d rows overflows", l.Len(), r.Len())}
-	}
-	if err := ev.gov.CheckRows("product", n); err != nil {
+	b := newJoinBlock([]*table.Table{l, r}, []int{0, l.Arity(), l.Arity() + r.Arity()}, 0)
+	if err := ev.productStep(b, 1); err != nil {
 		return nil, err
 	}
-	out := table.New(l.Arity() + r.Arity())
-	out.Grow(n)
-	for _, lr := range l.Rows() {
-		if err := ev.tick("product"); err != nil {
-			return nil, err
-		}
-		for _, rr := range r.Rows() {
-			nr := make(table.Row, 0, len(lr)+len(rr))
-			nr = append(nr, lr...)
-			nr = append(nr, rr...)
-			out.Append(nr)
-		}
-	}
-	if err := ev.charge("product", int64(n)); err != nil {
-		return nil, err
-	}
-	ev.note("product -> %d rows", out.Len())
-	return out, nil
+	return ev.materializeBlock(b)
 }
 
 // evalAdomPower materializes adomᵏ, the k-fold power of the active
@@ -715,9 +687,8 @@ func (ev *Evaluator) evalUnifySemi(e algebra.UnifySemi) (*table.Table, error) {
 		return nil, err
 	}
 	lRows, rRows := l.Rows(), r.Rows()
-	chunks := make([][]table.Row, ev.opts.workers())
+	keep := make([]bool, len(lRows))
 	err = ev.runChunksPrecharged(l.Len(), "unify-semijoin", func(c *chunk) error {
-		var out []table.Row
 		for i := c.lo; i < c.hi; i++ {
 			if c.stopped() {
 				return nil
@@ -731,20 +702,18 @@ func (ev *Evaluator) evalUnifySemi(e algebra.UnifySemi) (*table.Table, error) {
 					break
 				}
 			}
-			if match != e.Anti {
-				out = append(out, lr)
-			}
+			keep[i] = match != e.Anti
 		}
-		chunks[c.part] = out
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out, err := concatChunks(ev.gov, l.Arity(), chunks)
+	rows, err := gather(ev.gov, lRows, 1, keep)
 	if err != nil {
 		return nil, err
 	}
+	out := table.FromRows(l.Arity(), rows)
 	name := "unify-semijoin"
 	if e.Anti {
 		name = "unify-antijoin"

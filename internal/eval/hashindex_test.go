@@ -568,3 +568,293 @@ func TestBuildLeftFaults(t *testing.T) {
 		}
 	}
 }
+
+// blockStep is one step of a join block as the greedy planner takes
+// it: the leaf joined, the key equality its hash join applies (nil for
+// a Cartesian step), and the residuals filtered right after it. The
+// predicates read a canonical row in which only joined leaves are set.
+type blockStep struct {
+	leaf      int
+	on        func(r table.Row) bool
+	residuals []func(r table.Row) bool
+}
+
+// blockCase is a join block over relations a, b and c (two columns
+// each, canonical columns 0–5) with the plan the greedy planner must
+// choose for it.
+type blockCase struct {
+	name    string
+	a, b, c []table.Row
+	cond    algebra.Cond
+	start   int
+	steps   []blockStep
+	notes   []string // expected trace fragments
+}
+
+// reference evaluates the case by nested loops in the plan's join
+// order, and returns the canonical rows in that order — lexicographic
+// in the joined leaves' row numbers — and the plan's cost units: the
+// scans, |block| + |leaf| + |out| per hash step, |block| × |leaf| per
+// Cartesian step, and one unit per tuple a residual filter reads.
+func (tc blockCase) reference() ([]table.Row, int64) {
+	rels := [][]table.Row{tc.a, tc.b, tc.c}
+	canon := func(r table.Row, t []int) table.Row {
+		for l, i := range t {
+			if i >= 0 {
+				copy(r[2*l:], rels[l][i])
+			}
+		}
+		return r
+	}
+	scratch := make(table.Row, 6)
+	cost := int64(len(tc.a) + len(tc.b) + len(tc.c))
+	var cur [][]int
+	for i := range rels[tc.start] {
+		t := []int{-1, -1, -1}
+		t[tc.start] = i
+		cur = append(cur, t)
+	}
+	for _, st := range tc.steps {
+		var next [][]int
+		for _, t := range cur {
+			u := append([]int(nil), t...)
+			for j := range rels[st.leaf] {
+				u[st.leaf] = j
+				if st.on == nil || st.on(canon(scratch, u)) {
+					next = append(next, append([]int(nil), u...))
+				}
+			}
+		}
+		if st.on != nil {
+			cost += int64(len(cur) + len(rels[st.leaf]) + len(next))
+		} else {
+			cost += int64(len(cur) * len(rels[st.leaf]))
+		}
+		cur = next
+		for _, res := range st.residuals {
+			cost += int64(len(cur))
+			var kept [][]int
+			for _, t := range cur {
+				if res(canon(scratch, t)) {
+					kept = append(kept, t)
+				}
+			}
+			cur = kept
+		}
+	}
+	out := make([]table.Row, len(cur))
+	for i, t := range cur {
+		out[i] = canon(make(table.Row, 6), t)
+	}
+	return out, cost
+}
+
+func cmpCond(op algebra.CmpOp, l, r int) algebra.Cond {
+	return algebra.Cmp{Op: op, L: algebra.Col{Idx: l}, R: algebra.Col{Idx: r}}
+}
+
+func num(v value.Value) int64 { return v.AsInt() }
+
+// TestKernelJoinBlockPlans checks join blocks whose plans go beyond a
+// chain of equi-joins against the nested-loop reference, rows in order
+// and cost units, on both engines at Parallelism 1 and 4: a residual
+// that becomes applicable mid-chain, a Cartesian step followed by an
+// OR residual (the paper's A = B OR B IS NULL shape), and a cycle,
+// whose closing edge is applied as a second key column of the step
+// that joins its later leaf.
+func TestKernelJoinBlockPlans(t *testing.T) {
+	withNullV := func(rows []table.Row) []table.Row {
+		return append(rows, table.Row{value.Int(3), value.Null(1)})
+	}
+	cRows := func(n int, k, v func(i int) int64) []table.Row {
+		var rows []table.Row
+		for i := 0; i < n; i++ {
+			rows = append(rows, ints(k(i), v(i)))
+		}
+		return rows
+	}
+	cases := []blockCase{
+		{
+			// a.k = b.k ∧ b.v = c.k ∧ a.v < b.v ∧ a.k <> c.v: the first
+			// residual applies once b joins, before c; the second at
+			// the end.
+			name: "residual-mid-chain",
+			a:    seqRows(40, 8), b: seqRows(800, 8),
+			c:     cRows(1000, func(i int) int64 { return int64(i) }, func(i int) int64 { return int64(i % 7) }),
+			cond:  algebra.NewAnd(eqCond([2]int{0, 2}, [2]int{3, 4}), cmpCond(algebra.LT, 1, 3), cmpCond(algebra.NE, 0, 5)),
+			start: 0,
+			steps: []blockStep{
+				{leaf: 1, on: func(r table.Row) bool { return num(r[0]) == num(r[2]) },
+					residuals: []func(table.Row) bool{func(r table.Row) bool { return num(r[1]) < num(r[3]) }}},
+				{leaf: 2, on: func(r table.Row) bool { return num(r[3]) == num(r[4]) },
+					residuals: []func(table.Row) bool{func(r table.Row) bool { return num(r[0]) != num(r[5]) }}},
+			},
+			notes: []string{"hash join build=left 40 rows, probe 800 rows", "hash join build=right 1000 rows"},
+		},
+		{
+			// a.k = b.k ∧ (b.v = c.v ∨ c.v IS NULL): c has no edge, so
+			// it joins by a Cartesian step, then the OR filters.
+			name: "cartesian-step",
+			a:    seqRows(20, 4), b: seqRows(300, 4),
+			c: withNullV(cRows(29, func(i int) int64 { return int64(i) }, func(i int) int64 { return int64(i % 5) })),
+			cond: algebra.NewAnd(eqCond([2]int{0, 2}), algebra.NewOr(cmpCond(algebra.EQ, 3, 5),
+				algebra.NullTest{Operand: algebra.Col{Idx: 5}})),
+			start: 0,
+			steps: []blockStep{
+				{leaf: 1, on: func(r table.Row) bool { return num(r[0]) == num(r[2]) }},
+				{leaf: 2, residuals: []func(table.Row) bool{func(r table.Row) bool {
+					return r[5].IsNull() || num(r[3]) == num(r[5])
+				}}},
+			},
+			notes: []string{"hash join build=left 20 rows, probe 300 rows", "product -> 45000 rows"},
+		},
+		{
+			// a.k = b.k ∧ b.v = c.k ∧ c.v = a.v: c closes the cycle and
+			// joins on two key columns read from two different leaves.
+			name: "cycle",
+			a:    seqRows(30, 3), b: seqRows(600, 3),
+			c:     cRows(1200, func(i int) int64 { return int64(i % 600) }, func(i int) int64 { return int64(i % 30) }),
+			cond:  eqCond([2]int{0, 2}, [2]int{3, 4}, [2]int{5, 1}),
+			start: 0,
+			steps: []blockStep{
+				{leaf: 1, on: func(r table.Row) bool { return num(r[0]) == num(r[2]) }},
+				{leaf: 2, on: func(r table.Row) bool { return num(r[3]) == num(r[4]) && num(r[5]) == num(r[1]) }},
+			},
+			notes: []string{"hash join build=left 30 rows, probe 600 rows", "hash join build=right 1200 rows, probe 6000 rows"},
+		},
+	}
+	for _, tc := range cases {
+		db := kernelDB(t)
+		fill(t, db, "a", tc.a)
+		fill(t, db, "b", tc.b)
+		fill(t, db, "c", tc.c)
+		e := algebra.Select{Child: algebra.Product{L: algebra.Product{L: relA, R: relB}, R: relC}, Cond: tc.cond}
+		want, wantCost := tc.reference()
+		for _, eng := range engines {
+			got, cost, trace := evalTraced(t, db, e, eng.opts)
+			if render(got) != render(want) {
+				t.Errorf("%s/%s: rows differ from the reference (%d rows, want %d)", tc.name, eng.name, len(got), len(want))
+			}
+			if cost != wantCost {
+				t.Errorf("%s/%s: cost %d, want %d", tc.name, eng.name, cost, wantCost)
+			}
+			for _, note := range tc.notes {
+				if !strings.Contains(trace, note) {
+					t.Errorf("%s/%s: trace lacks %q:\n%s", tc.name, eng.name, note, trace)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelEmptyBuildSide covers every operator whose index can come
+// out empty — no build rows, or (under SQL3VL) only rows with null
+// keys, which enter no bucket. Every probe then misses, so join steps
+// and build-right semijoins skip the probe loop (a build-left semijoin
+// still scans), but results, cost units, the hash-join count and
+// budget trips must be those of the full loop: the reference's rows and
+// cost; a cost budget one unit short of the total trips, the exact
+// total does not; and a budget that runs out inside the probe trips
+// with the probe's operator name.
+func TestKernelEmptyBuildSide(t *testing.T) {
+	nullKeys := func(n int) []table.Row {
+		var rows []table.Row
+		for i := 0; i < n; i++ {
+			rows = append(rows, table.Row{value.Null(int64(i + 1)), value.Int(int64(i))})
+		}
+		return rows
+	}
+	type emptyCase struct {
+		name      string
+		e         algebra.Expr
+		hints     *eval.PlanHints
+		a, b, c   []table.Row
+		want      []table.Row
+		cost      int64
+		preProbe  int64  // cost charged before the skipped probe
+		probeOp   string // the probe's operator name
+		hashJoins int
+		note      string
+	}
+	join2 := algebra.Select{Child: algebra.Product{L: relA, R: relB}, Cond: eqCond([2]int{0, 2})}
+	join3 := algebra.Select{Child: algebra.Product{L: algebra.Product{L: relA, R: relB}, R: relC},
+		Cond: eqCond([2]int{0, 2}, [2]int{3, 4})}
+	semi := func(l algebra.Expr, anti bool) algebra.SemiJoin {
+		return algebra.SemiJoin{L: l, R: relB, Anti: anti,
+			Cond: algebra.NewAnd(eqCond([2]int{0, 2}), cmpCond(algebra.NE, 1, 3))}
+	}
+	a300 := seqRows(300, 3)
+	a40b := seqRows(40, 4)
+	cases := []emptyCase{
+		{name: "join/build-left/no-rows", e: join2, b: seqRows(500, 5),
+			cost: 500 + 500, preProbe: 500, probeOp: "hash-join", hashJoins: 1,
+			note: "hash join build=left 0 rows, probe 500 rows"},
+		{name: "join/build-left/null-keys", e: join2, a: nullKeys(30), b: seqRows(500, 5),
+			cost: 530 + 530, preProbe: 530, probeOp: "hash-join", hashJoins: 1,
+			note: "hash join build=left 30 rows, probe 500 rows"},
+		{name: "join/build-right/null-keys", e: join3, a: seqRows(4, 4), b: a40b, c: nullKeys(30),
+			// a ⋈ b has 40 tuples; c's keys are null.
+			cost: 74 + (4 + 40 + 40) + (40 + 30), preProbe: 74 + 84, probeOp: "hash-join", hashJoins: 2,
+			note: "hash join build=right 30 rows, probe 40 rows"},
+		{name: "semijoin/build=subquery/no-rows", e: semi(relA, false), a: a300,
+			cost: 300 + 300, preProbe: 300, probeOp: "semijoin/probe", hashJoins: 1,
+			note: "build=subquery 0 rows"},
+		{name: "antijoin/build=subquery/no-rows", e: semi(relA, true), a: a300, want: a300,
+			cost: 300 + 300, preProbe: 300, probeOp: "semijoin/probe", hashJoins: 1,
+			note: "build=subquery 0 rows"},
+		{name: "antijoin/build=subquery/null-keys", e: semi(relA, true), a: a300, b: nullKeys(200), want: a300,
+			cost: 300 + 2*200 + 300, preProbe: 300 + 2*200, probeOp: "semijoin/probe", hashJoins: 1,
+			note: "build=subquery 200 rows"},
+		{name: "semijoin/build=probe-side/null-keys", e: semi(algebra.Sort{Child: relA}, false), a: nullKeys(20), b: a300,
+			cost: 2*20 + 300 + 20 + 300, preProbe: 2*20 + 300 + 20, probeOp: "semijoin/probe", hashJoins: 1,
+			note: "build=probe-side 20 rows, scan 300"},
+		{name: "antijoin/build=probe-side/null-keys", e: semi(algebra.Sort{Child: relA}, true), a: nullKeys(20), b: a300,
+			want: nullKeys(20), cost: 2*20 + 300 + 20 + 300, preProbe: 2*20 + 300 + 20, probeOp: "semijoin/probe", hashJoins: 1,
+			note: "build=probe-side 20 rows, scan 300"},
+	}
+	for _, tc := range cases {
+		db := kernelDB(t)
+		fill(t, db, "a", tc.a)
+		fill(t, db, "b", tc.b)
+		fill(t, db, "c", tc.c)
+		for _, eng := range engines {
+			name := tc.name + "/" + eng.name
+			opts := eng.opts
+			opts.Hints = tc.hints
+			opts.Trace = true
+			ev := eval.New(db, opts)
+			res, err := ev.Eval(tc.e)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if render(res.Rows()) != render(tc.want) {
+				t.Errorf("%s: rows\n%s\nwant\n%s", name, render(res.Rows()), render(tc.want))
+			}
+			if st := ev.Stats(); st.CostUnits != tc.cost || st.HashJoins != tc.hashJoins {
+				t.Errorf("%s: cost %d, %d hash joins; want %d, %d", name, st.CostUnits, st.HashJoins, tc.cost, tc.hashJoins)
+			}
+			if !strings.Contains(ev.Trace(), tc.note) {
+				t.Errorf("%s: trace lacks %q:\n%s", name, tc.note, ev.Trace())
+			}
+			for _, budget := range []struct {
+				max  int64
+				trip bool
+				op   string
+			}{{tc.cost - 1, true, ""}, {tc.cost, false, ""}, {tc.preProbe + 1, true, tc.probeOp}} {
+				opts := eng.opts
+				opts.Hints = tc.hints
+				opts.Governor = guard.Background(guard.Limits{MaxCostUnits: budget.max})
+				_, err := eval.New(db, opts).Eval(tc.e)
+				var le *guard.LimitError
+				switch {
+				case !budget.trip && err != nil:
+					t.Errorf("%s: budget %d (the total) tripped: %v", name, budget.max, err)
+				case budget.trip && (!errors.Is(err, guard.ErrCostBudget) || !errors.As(err, &le)):
+					t.Errorf("%s: budget %d: got %v, want a cost-budget trip", name, budget.max, err)
+				case budget.op != "" && le.Op != budget.op:
+					t.Errorf("%s: budget %d tripped in %q, want %q", name, budget.max, le.Op, budget.op)
+				}
+			}
+		}
+	}
+}

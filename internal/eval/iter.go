@@ -128,7 +128,7 @@ func (it *scanIter) isIter()    {}
 type filterIter struct {
 	ev    *Evaluator
 	child iter
-	cond  algebra.Cond
+	holds condFn
 	keep  []bool // per-batch verdicts, reused across batches
 }
 
@@ -138,7 +138,7 @@ func (ev *Evaluator) newFilterIter(child iter, cond algebra.Cond) (*filterIter, 
 		child.close()
 		return nil, err
 	}
-	return &filterIter{ev: ev, child: child, cond: cond}, nil
+	return &filterIter{ev: ev, child: child, holds: ev.compileCond(cond)}, nil
 }
 
 func (it *filterIter) next() ([]table.Row, error) {
@@ -154,7 +154,7 @@ func (it *filterIter) next() ([]table.Row, error) {
 		// batch is the filter's only allocation.
 		keep, n := it.keep[:0], 0
 		for _, r := range batch {
-			v, err := it.ev.evalCond(it.cond, r)
+			v, err := it.holds(r)
 			if err != nil {
 				return nil, err
 			}
@@ -181,6 +181,7 @@ func (it *filterIter) close()     { it.child.close() }
 func (it *filterIter) isIter()    {}
 
 // projectIter rewrites each row onto the projection's column list.
+// Each batch's rows share one slab of values (projectRows).
 type projectIter struct {
 	ev    *Evaluator
 	child iter
@@ -195,15 +196,24 @@ func (it *projectIter) next() ([]table.Row, error) {
 	if err := it.ev.charge("project", int64(len(batch))); err != nil {
 		return nil, err
 	}
-	out := make([]table.Row, len(batch))
-	for i, r := range batch {
-		nr := make(table.Row, len(it.cols))
-		for j, c := range it.cols {
+	return projectRows(batch, it.cols), nil
+}
+
+// projectRows projects rows onto cols. The output rows are windows of
+// one slab, so a projection allocates twice per call, not once per row;
+// the slab lives as long as any of its rows does.
+func projectRows(rows []table.Row, cols []int) []table.Row {
+	w := len(cols)
+	slab := make([]value.Value, len(rows)*w)
+	out := make([]table.Row, len(rows))
+	for i, r := range rows {
+		nr := slab[i*w : (i+1)*w : (i+1)*w]
+		for j, c := range cols {
 			nr[j] = r[c]
 		}
 		out[i] = nr
 	}
-	return out, nil
+	return out
 }
 
 func (it *projectIter) arity() int { return len(it.cols) }

@@ -53,14 +53,15 @@ type joinEdge struct {
 // across two leaves become hash-join edges; everything else (including
 // OR-disjunctions — the shape that defeats real optimizers in Section 7
 // of the paper) is a residual filter applied once its leaves are joined.
-// The output preserves the canonical column order of the product.
+// The intermediate result is a joinBlock of row-id tuples; the output
+// rows, in the canonical column order of the product, are written once
+// when the block finishes.
 func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*table.Table, error) {
 	n := len(leaves)
 	offsets := make([]int, n+1)
 	for i, l := range leaves {
 		offsets[i+1] = offsets[i] + l.Arity()
 	}
-	totalArity := offsets[n]
 	leafOf := func(col int) int {
 		return sort.Search(n, func(i int) bool { return offsets[i+1] > col })
 	}
@@ -122,25 +123,14 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 	}
 
 	// Greedy join order: start at the smallest leaf; grow via hash edges.
-	joined := map[int]bool{}
 	start := 0
 	for i := 1; i < n; i++ {
 		if filtered[i].Len() < filtered[start].Len() {
 			start = i
 		}
 	}
-	joined[start] = true
-	cur := filtered[start]
-	// pos maps canonical column -> position in cur (-1 when absent).
-	pos := make([]int, totalArity)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for c := 0; c < leaves[start].Arity(); c++ {
-		pos[offsets[start]+c] = c
-	}
+	b := newJoinBlock(filtered, offsets, start)
 
-	appliedEdge := make([]bool, len(edges))
 	appliedRes := make([]bool, len(residuals))
 
 	applyResiduals := func() error {
@@ -150,7 +140,7 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 			}
 			ready := true
 			for _, col := range algebra.ColsUsed(c) {
-				if pos[col] < 0 {
+				if !b.joined(b.colLeaf[col]) {
 					ready = false
 					break
 				}
@@ -159,13 +149,10 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 				continue
 			}
 			appliedRes[ri] = true
-			remapped := algebra.MapCols(c, func(col int) int { return pos[col] })
-			f, err := ev.filterTable(cur, remapped)
-			if err != nil {
+			if err := ev.filterBlock(b, c); err != nil {
 				return err
 			}
-			ev.note("residual filter %s -> %d rows", c, f.Len())
-			cur = f
+			ev.note("residual filter %s -> %d rows", c, b.len())
 		}
 		return nil
 	}
@@ -173,17 +160,16 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 		return nil, err
 	}
 
-	for len(joined) < n {
-		// Collect edges from the joined set to each candidate leaf.
+	for b.width() < n {
+		// Collect edges from the joined set to each candidate leaf. An
+		// edge with both leaves joined was applied by the step that
+		// joined the later one.
 		candEdges := map[int][]int{} // leaf -> edge indexes
 		for ei, e := range edges {
-			if appliedEdge[ei] {
-				continue
-			}
 			switch {
-			case joined[e.leafA] && !joined[e.leafB]:
+			case b.joined(e.leafA) && !b.joined(e.leafB):
 				candEdges[e.leafB] = append(candEdges[e.leafB], ei)
-			case joined[e.leafB] && !joined[e.leafA]:
+			case b.joined(e.leafB) && !b.joined(e.leafA):
 				candEdges[e.leafA] = append(candEdges[e.leafA], ei)
 			}
 		}
@@ -194,51 +180,46 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 			}
 		}
 		if next >= 0 {
-			// Hash join cur with filtered[next] on all connecting edges.
+			// Hash join the block with filtered[next] on all connecting
+			// edges: block key columns canonical, leaf key columns local.
+			// Every edge is applied here, when the later of its leaves
+			// joins — the edge closing a cycle is one more key column —
+			// since a Cartesian step happens only when no edge connects
+			// the block to an unjoined leaf.
 			var curCols, leafCols []int
 			for _, ei := range candEdges[next] {
 				e := edges[ei]
-				appliedEdge[ei] = true
 				if e.leafA == next {
 					leafCols = append(leafCols, e.colA-offsets[next])
-					curCols = append(curCols, pos[e.colB])
+					curCols = append(curCols, e.colB)
 				} else {
 					leafCols = append(leafCols, e.colB-offsets[next])
-					curCols = append(curCols, pos[e.colA])
+					curCols = append(curCols, e.colA)
 				}
 			}
-			var err error
-			cur, err = ev.hashJoin(cur, filtered[next], curCols, leafCols)
-			if err != nil {
+			if err := ev.hashJoin(b, next, curCols, leafCols); err != nil {
 				return nil, err
 			}
 			ev.stats.HashJoins++
 			if ev.opts.Trace { // Key() renders the whole subtree; don't pay for it untraced
-				ev.note("hash join + %s -> %d rows", leaves[next].Key(), cur.Len())
+				ev.note("hash join + %s -> %d rows", leaves[next].Key(), b.len())
 			}
 		} else {
 			// No connecting edge: Cartesian step with the smallest leaf.
 			next = -1
 			for i := 0; i < n; i++ {
-				if joined[i] {
+				if b.joined(i) {
 					continue
 				}
 				if next == -1 || filtered[i].Len() < filtered[next].Len() {
 					next = i
 				}
 			}
-			var err error
-			cur, err = ev.product(cur, filtered[next])
-			if err != nil {
+			if err := ev.productStep(b, next); err != nil {
 				return nil, err
 			}
 		}
-		base := cur.Arity() - leaves[next].Arity()
-		for c := 0; c < leaves[next].Arity(); c++ {
-			pos[offsets[next]+c] = base + c
-		}
-		joined[next] = true
-		if err := ev.gov.CheckRows("join-block", cur.Len()); err != nil {
+		if err := ev.gov.CheckRows("join-block", b.len()); err != nil {
 			return nil, err
 		}
 		if err := applyResiduals(); err != nil {
@@ -246,121 +227,217 @@ func (ev *Evaluator) planJoinBlock(leaves []algebra.Expr, cond algebra.Cond) (*t
 		}
 	}
 
-	// Any edges between leaves that were joined through other paths.
-	for ei, e := range edges {
-		if appliedEdge[ei] {
-			continue
-		}
-		appliedEdge[ei] = true
-		remapped := algebra.Cmp{Op: algebra.EQ, L: algebra.Col{Idx: pos[e.colA]}, R: algebra.Col{Idx: pos[e.colB]}}
-		f, err := ev.filterTable(cur, remapped)
-		if err != nil {
-			return nil, err
-		}
-		cur = f
-	}
-
-	// Permute back to canonical column order.
-	out := table.New(totalArity)
-	out.Grow(cur.Len())
-	for _, r := range cur.Rows() {
-		nr := make(table.Row, totalArity)
-		for col := 0; col < totalArity; col++ {
-			nr[col] = r[pos[col]]
-		}
-		out.Append(nr)
+	out, err := ev.materializeBlock(b)
+	if err != nil {
+		return nil, err
 	}
 	ev.note("join block (%d leaves) -> %d rows", n, out.Len())
 	return out, nil
 }
 
-// hashJoin joins l and r on equality of the given column lists. Output
-// rows are l ++ r, ordered by l row and, within one l row, by ascending
-// r row: the order of a nested loop over l, then r. The hash index
-// (hashindex.go) goes on the smaller input — r on ties. Building on r
-// probes l in order; building on l scans r in order and collects match
-// pairs, which a stable counting sort by l row puts back into the same
-// order. Either way the operator
-// charges |l| + |r| + one unit per output row, so results, Stats and
-// budget trips do not depend on the orientation. Under SQL3VL rows with
-// null key values cannot match (A = NULL is unknown); under naive
-// semantics marked nulls join by their marks, which the keys preserve.
-func (ev *Evaluator) hashJoin(l, r *table.Table, lCols, rCols []int) (*table.Table, error) {
-	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
-		return nil, err
-	}
-	if l.Len() < r.Len() {
-		return ev.hashJoinBuildLeft(l, r, lCols, rCols)
-	}
-	idx, err := ev.buildIndex(r.Rows(), rCols, r.Len(), nil)
-	if err != nil {
-		return nil, err
-	}
-	ev.note("hash join build=right %d rows, probe %d rows (numkey=%v)", r.Len(), l.Len(), idx.numeric())
-	// Probe partitions of l in parallel; a shared row counter enforces
-	// the budget across partitions and cancels in-flight ones.
-	arity := l.Arity() + r.Arity()
-	lRows := l.Rows()
-	chunks := make([][]table.Row, ev.opts.workers())
-	maxRows := int64(ev.gov.MaxRows())
-	var outRows atomic.Int64
-	err = ev.runChunks(l.Len(), "hash-join", func(c *chunk) error {
-		var out []table.Row
-		for i := c.lo; i < c.hi; i++ {
-			if c.stopped() {
-				return nil
-			}
-			lr := lRows[i]
-			c.st.costUnits++
-			for _, ri := range idx.lookup(lr, lCols, &c.key) {
-				c.st.costUnits++
-				nr := make(table.Row, 0, arity)
-				nr = append(nr, lr...)
-				nr = append(nr, r.Row(int(ri))...)
-				out = append(out, nr)
-				if outRows.Add(1) > maxRows {
-					return joinBudgetError(maxRows)
-				}
-			}
-		}
-		chunks[c.part] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ev.charge("hash-join", int64(r.Len())); err != nil {
-		return nil, err
-	}
-	return concatChunks(ev.gov, arity, chunks)
+// joinBlock is a join block's intermediate result: one tuple of row ids
+// per joined row, one id per leaf joined so far, in join order. Key and
+// residual columns are read through the ids; no value is copied until
+// materializeBlock writes the output rows.
+type joinBlock struct {
+	leaves  []*table.Table // the filtered leaves, canonical order
+	offsets []int          // first canonical column of each leaf
+	colLeaf []int          // canonical column -> its leaf
+	slot    []int          // leaf -> its position in a tuple, -1 while unjoined
+	order   []int          // position in a tuple -> leaf
+	ids     []int32        // tuples of width() ids, back to back
 }
 
-// joinPair is one match of the build-left join: l row and r row ids.
+// newJoinBlock starts a block at leaf start: one tuple per row.
+func newJoinBlock(leaves []*table.Table, offsets []int, start int) *joinBlock {
+	b := &joinBlock{leaves: leaves, offsets: offsets, slot: make([]int, len(leaves))}
+	b.colLeaf = make([]int, offsets[len(leaves)])
+	for l := range leaves {
+		b.slot[l] = -1
+		for c := offsets[l]; c < offsets[l+1]; c++ {
+			b.colLeaf[c] = l
+		}
+	}
+	b.slot[start] = 0
+	b.order = []int{start}
+	b.ids = make([]int32, leaves[start].Len())
+	for i := range b.ids {
+		b.ids[i] = int32(i)
+	}
+	return b
+}
+
+func (b *joinBlock) width() int        { return len(b.order) }
+func (b *joinBlock) len() int          { return len(b.ids) / b.width() }
+func (b *joinBlock) joined(l int) bool { return b.slot[l] >= 0 }
+
+// tuple returns tuple i's ids.
+func (b *joinBlock) tuple(i int) []int32 { return b.ids[i*b.width() : (i+1)*b.width()] }
+
+// ref locates canonical column col of a joined leaf.
+func (b *joinBlock) ref(col int) keyCol {
+	l := b.colLeaf[col]
+	return keyCol{rows: b.leaves[l].Rows(), slot: b.slot[l], col: col - b.offsets[l]}
+}
+
+// keys is the tuple-form key source over canonical columns cols.
+func (b *joinBlock) keys(cols []int) keySource {
+	s := keySource{n: b.len(), ids: b.ids, width: b.width(), cols: make([]keyCol, len(cols))}
+	for j, c := range cols {
+		s.cols[j] = b.ref(c)
+	}
+	return s
+}
+
+// extend records that ids now holds the tuples extended by a row id of
+// leaf l.
+func (b *joinBlock) extend(l int, ids []int32) {
+	b.slot[l] = len(b.order)
+	b.order = append(b.order, l)
+	b.ids = ids
+}
+
+// hashJoin joins the block with leaf next on equality of the block's
+// canonical columns curCols and the leaf's columns leafCols, extending
+// every tuple by the id of each matching leaf row. Tuples come out
+// ordered by block tuple and, within one tuple, by ascending leaf row:
+// the order of a nested loop over the block, then the leaf. The hash
+// index (hashindex.go) goes on the smaller input — the leaf on ties.
+// Building on the leaf probes the tuples in order; building on the
+// block scans the leaf in order and collects match pairs, which a
+// stable counting sort by tuple puts back into the same order. Either
+// way the operator charges |block| + |leaf| + one unit per output
+// tuple, so results, Stats and budget trips do not depend on the
+// orientation. Under SQL3VL rows with null key values cannot match
+// (A = NULL is unknown); under naive semantics marked nulls join by
+// their marks, which the keys preserve.
+func (ev *Evaluator) hashJoin(b *joinBlock, next int, curCols, leafCols []int) error {
+	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
+		return err
+	}
+	leaf := b.leaves[next]
+	curKeys, leafKeys := b.keys(curCols), rowKeys(leaf.Rows(), leafCols)
+	if b.len() < leaf.Len() {
+		return ev.hashJoinBuildLeft(b, next, &curKeys, &leafKeys)
+	}
+	idx, err := ev.buildIndex(&leafKeys, leaf.Len(), nil, false)
+	if err != nil {
+		return err
+	}
+	ev.note("hash join build=right %d rows, probe %d rows (numkey=%v)", leaf.Len(), b.len(), idx.numeric())
+	var ids []int32
+	if idx.empty() {
+		// Every probe misses: skip the loop, charge it all the same.
+		if err := ev.skipProbe("hash-join", b.len()); err != nil {
+			return err
+		}
+	} else {
+		// Probe partitions of the block in parallel; a shared row
+		// counter enforces the budget across partitions and cancels
+		// in-flight ones.
+		w := b.width()
+		parts := make([][]int32, ev.opts.workers())
+		maxRows := int64(ev.gov.MaxRows())
+		var outRows atomic.Int64
+		err = ev.runChunks(b.len(), "hash-join", func(c *chunk) error {
+			var out []int32
+			for i := c.lo; i < c.hi; i++ {
+				if c.stopped() {
+					return nil
+				}
+				c.st.costUnits++
+				for _, ri := range idx.lookup(&curKeys, i, &c.key) {
+					c.st.costUnits++
+					out = append(out, b.ids[i*w:(i+1)*w]...)
+					out = append(out, ri)
+					if outRows.Add(1) > maxRows {
+						return joinBudgetError(maxRows)
+					}
+				}
+			}
+			parts[c.part] = out
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		ids = concatIDs(parts)
+	}
+	if err := ev.charge("hash-join", int64(leaf.Len())); err != nil {
+		return err
+	}
+	b.extend(next, ids)
+	return nil
+}
+
+// skipProbe stands in for a probe loop over n entries against an empty
+// index: nothing can match, so the loop is skipped, but its n cost
+// units are charged and the governor polled as the loop would have.
+func (ev *Evaluator) skipProbe(op string, n int) error {
+	if err := ev.gov.Poll(op); err != nil {
+		return err
+	}
+	return ev.charge(op, int64(n))
+}
+
+// concatIDs joins per-partition id buffers in partition order; a
+// single non-empty buffer is returned as it is.
+func concatIDs(parts [][]int32) []int32 {
+	n := 0
+	for _, ids := range parts {
+		n += len(ids)
+	}
+	for _, ids := range parts {
+		if len(ids) == n {
+			return ids // the only non-empty buffer, or none
+		}
+	}
+	out := make([]int32, 0, n)
+	for _, ids := range parts {
+		out = append(out, ids...)
+	}
+	return out
+}
+
+// joinPair is one match of the build-left join: block tuple and leaf
+// row.
 type joinPair struct{ l, r int32 }
 
 // hashJoinBuildLeft is hashJoin's build-left orientation: the index
-// goes on l and partitions of r are scanned in parallel, each
-// collecting its match pairs in r order. Concatenated in partition
-// order the pairs ascend by r; a stable counting sort by l row then
-// yields the build-right output order exactly.
-func (ev *Evaluator) hashJoinBuildLeft(l, r *table.Table, lCols, rCols []int) (*table.Table, error) {
-	idx, err := ev.buildIndex(l.Rows(), lCols, l.Len(), nil)
+// goes on the block's tuples and partitions of the leaf are scanned in
+// parallel, each collecting its match pairs in leaf order.
+// Concatenated in partition order the pairs ascend by leaf row; a
+// stable counting sort by tuple then yields the build-right output
+// order exactly.
+func (ev *Evaluator) hashJoinBuildLeft(b *joinBlock, next int, curKeys, leafKeys *keySource) error {
+	leaf := b.leaves[next]
+	nCur := b.len()
+	idx, err := ev.buildIndex(curKeys, nCur, nil, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ev.note("hash join build=left %d rows, probe %d rows (numkey=%v)", l.Len(), r.Len(), idx.numeric())
-	rRows := r.Rows()
+	ev.note("hash join build=left %d rows, probe %d rows (numkey=%v)", nCur, leaf.Len(), idx.numeric())
+	if idx.empty() {
+		if err := ev.skipProbe("hash-join", leaf.Len()); err != nil {
+			return err
+		}
+		if err := ev.charge("hash-join", int64(nCur)); err != nil {
+			return err
+		}
+		b.extend(next, nil)
+		return nil
+	}
 	parts := make([][]joinPair, ev.opts.workers())
 	maxRows := int64(ev.gov.MaxRows())
 	var outRows atomic.Int64
-	err = ev.runChunks(r.Len(), "hash-join", func(c *chunk) error {
+	err = ev.runChunks(leaf.Len(), "hash-join", func(c *chunk) error {
 		var out []joinPair
 		for j := c.lo; j < c.hi; j++ {
 			if c.stopped() {
 				return nil
 			}
 			c.st.costUnits++
-			for _, i := range idx.lookup(rRows[j], rCols, &c.key) {
+			for _, i := range idx.lookup(leafKeys, j, &c.key) {
 				c.st.costUnits++
 				out = append(out, joinPair{l: i, r: int32(j)})
 				if outRows.Add(1) > maxRows {
@@ -372,23 +449,23 @@ func (ev *Evaluator) hashJoinBuildLeft(l, r *table.Table, lCols, rCols []int) (*
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := ev.charge("hash-join", int64(l.Len())); err != nil {
-		return nil, err
+	if err := ev.charge("hash-join", int64(nCur)); err != nil {
+		return err
 	}
-	// Counting sort: end[i] starts as the first slot of l row i's
+	// Counting sort: end[i] starts as the first slot of tuple i's
 	// matches and ends one past its last.
-	end := make([]int32, l.Len()+1)
+	end := make([]int32, nCur+1)
 	for _, ps := range parts {
 		for _, p := range ps {
 			end[p.l+1]++
 		}
 	}
-	for i := 0; i < l.Len(); i++ {
+	for i := 0; i < nCur; i++ {
 		end[i+1] += end[i]
 	}
-	n := int(end[l.Len()])
+	n := int(end[nCur])
 	order := make([]int32, n)
 	for _, ps := range parts {
 		for _, p := range ps {
@@ -396,42 +473,135 @@ func (ev *Evaluator) hashJoinBuildLeft(l, r *table.Table, lCols, rCols []int) (*
 			end[p.l]++
 		}
 	}
-	arity := l.Arity() + r.Arity()
-	out := table.New(arity)
-	out.Grow(n)
-	slab := make([]value.Value, n*arity) // one allocation for every output row
-	k, lo := 0, int32(0)
-	for i, lr := range l.Rows() {
+	w := b.width()
+	ids := make([]int32, 0, n*(w+1)) // the extended tuples, exactly sized
+	lo := int32(0)
+	for i := 0; i < nCur; i++ {
 		for _, j := range order[lo:end[i]] {
-			if k&1023 == 0 {
+			if len(ids)&1023 == 0 {
 				if err := ev.gov.Poll("hash-join"); err != nil {
-					return nil, err
+					return err
 				}
 			}
-			nr := slab[k*arity : (k+1)*arity : (k+1)*arity]
-			copy(nr, lr)
-			copy(nr[len(lr):], rRows[j])
-			out.Append(nr)
-			k++
+			ids = append(ids, b.tuple(i)...)
+			ids = append(ids, j)
 		}
 		lo = end[i]
 	}
-	return out, nil
+	b.extend(next, ids)
+	return nil
+}
+
+// productStep extends every tuple of the block by every row of leaf
+// next — a join step with no connecting edge — guarding the row
+// budget like the product operator.
+func (ev *Evaluator) productStep(b *joinBlock, next int) error {
+	nCur, nLeaf := b.len(), b.leaves[next].Len()
+	n := nCur * nLeaf
+	if nCur != 0 && n/nCur != nLeaf {
+		return &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: "product",
+			Detail: fmt.Sprintf("product of %d × %d rows overflows", nCur, nLeaf)}
+	}
+	if err := ev.gov.CheckRows("product", n); err != nil {
+		return err
+	}
+	ids := make([]int32, 0, n*(b.width()+1))
+	for i := 0; i < nCur; i++ {
+		if err := ev.tick("product"); err != nil {
+			return err
+		}
+		t := b.tuple(i)
+		for j := 0; j < nLeaf; j++ {
+			ids = append(ids, t...)
+			ids = append(ids, int32(j))
+		}
+	}
+	if err := ev.charge("product", int64(n)); err != nil {
+		return err
+	}
+	b.extend(next, ids)
+	ev.note("product -> %d rows", n)
+	return nil
+}
+
+// filterBlock keeps the tuples satisfying cond, a condition over
+// canonical columns of joined leaves, scanning partitions of the block
+// in parallel. Each partition verifies on its own scratch row in
+// canonical layout, into which only the columns cond reads are copied.
+// It charges one cost unit per tuple, like filterTable.
+func (ev *Evaluator) filterBlock(b *joinBlock, cond algebra.Cond) error {
+	cond, err := ev.resolveScalars(cond)
+	if err != nil {
+		return err
+	}
+	holds := ev.compileCond(cond)
+	cols := algebra.ColsUsed(cond)
+	refs := make([]keyCol, len(cols))
+	for j, c := range cols {
+		refs[j] = b.ref(c)
+	}
+	w, arity := b.width(), b.offsets[len(b.leaves)]
+	keep := make([]bool, b.len())
+	err = ev.runChunks(b.len(), "filter", func(c *chunk) error {
+		row := make(table.Row, arity)
+		for i := c.lo; i < c.hi; i++ {
+			if c.stopped() {
+				return nil
+			}
+			c.st.costUnits++
+			t := b.ids[i*w : (i+1)*w]
+			for j, r := range refs {
+				row[cols[j]] = r.rows[t[r.slot]][r.col]
+			}
+			v, err := holds(row)
+			if err != nil {
+				return err
+			}
+			keep[i] = v.IsTrue()
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	ids, err := gather(ev.gov, b.ids, w, keep)
+	if err != nil {
+		return err
+	}
+	b.ids = ids
+	return nil
+}
+
+// materializeBlock writes the block's rows in canonical column order:
+// the one copy of the values a join block makes, into one slab owned
+// by the result table.
+func (ev *Evaluator) materializeBlock(b *joinBlock) (*table.Table, error) {
+	n, w, arity := b.len(), b.width(), b.offsets[len(b.leaves)]
+	if err := ev.gov.Poll("join-block"); err != nil {
+		return nil, err
+	}
+	slab := make([]value.Value, n*arity)
+	rows := make([]table.Row, n)
+	for i := range rows {
+		if i&1023 == 1023 {
+			if err := ev.gov.Poll("join-block"); err != nil {
+				return nil, err
+			}
+		}
+		row := slab[i*arity : (i+1)*arity : (i+1)*arity]
+		for s, id := range b.ids[i*w : (i+1)*w] {
+			l := b.order[s]
+			copy(row[b.offsets[l]:], b.leaves[l].Row(int(id)))
+		}
+		rows[i] = row
+	}
+	return table.FromRows(arity, rows), nil
 }
 
 // joinBudgetError reports a join result past the row budget.
 func joinBudgetError(maxRows int64) error {
 	return &guard.LimitError{Sentinel: guard.ErrRowBudget, Op: "hash-join",
 		Detail: fmt.Sprintf("result exceeds %d rows", maxRows)}
-}
-
-func anyNull(r table.Row, cols []int) bool {
-	for _, c := range cols {
-		if r[c].IsNull() {
-			return true
-		}
-	}
-	return false
 }
 
 // semiCond returns a semijoin's condition in NNF.
@@ -454,19 +624,23 @@ type semiPlan struct {
 	anti    bool
 	nL      int
 	name    string // "semijoin" or "antijoin"
-	cond    algebra.Cond
-	trivial bool // verify condition is constant true: key presence alone decides
-	slim    bool // the SlimVerify hint applied (trace notes only)
+	verify  condFn // the resolved verify condition, compiled
+	trivial bool   // verify condition is constant true: key presence alone decides
+	slim    bool   // the SlimVerify hint applied (trace notes only)
 	r       *table.Table
-	// fuse is the FuseBuild hint's build-side filter, still to be
-	// applied to r's rows as they are indexed or scanned; nil when
-	// there is none or it was applied eagerly.
-	fuse algebra.Cond
+	// fuse is the FuseBuild hint's build-side filter, compiled, still
+	// to be applied to r's rows as they are indexed or scanned; nil
+	// when there is none or it was applied eagerly.
+	fuse condFn
 	// lCols and rCols are the extracted hash-key columns, probe side
-	// and build side; empty selects the nested loop.
+	// and build side; empty selects the nested loop. rKeys reads r's.
 	lCols, rCols []int
+	rKeys        keySource
 	size         int        // pre-size for an index over r
 	idx          *hashIndex // index over r, set by buildSemi
+	// lUsed and rUsed are the columns cond reads, of the probe row and
+	// of r's row: all that verification copies into its scratch row.
+	lUsed, rUsed []int
 }
 
 // prepSemi evaluates the right side and plans the operator: extracts
@@ -540,14 +714,25 @@ func (ev *Evaluator) prepSemi(e algebra.SemiJoin, cond algebra.Cond) (*semiPlan,
 	if hint.SlimVerify && keyed {
 		verify = algebra.NewAnd(residual...)
 	}
-	if p.cond, err = ev.resolveScalars(verify); err != nil {
+	if verify, err = ev.resolveScalars(verify); err != nil {
 		return nil, err
 	}
-	if _, isTrue := p.cond.(algebra.TrueCond); isTrue && hint.SlimVerify && keyed {
+	p.verify = ev.compileCond(verify)
+	if _, isTrue := verify.(algebra.TrueCond); isTrue && hint.SlimVerify && keyed {
 		p.trivial = true
 	}
+	for _, c := range algebra.ColsUsed(verify) {
+		if c < nL {
+			p.lUsed = append(p.lUsed, c)
+		} else {
+			p.rUsed = append(p.rUsed, c-nL)
+		}
+	}
 	if keyed {
-		p.fuse = fuse
+		p.rKeys = rowKeys(r.Rows(), p.rCols)
+		if fuse != nil {
+			p.fuse = ev.compileCond(fuse)
+		}
 		p.size = r.Len()
 		if hint.BuildDistinct > 0 && hint.BuildDistinct < int64(p.size) {
 			p.size = int(hint.BuildDistinct)
@@ -587,7 +772,7 @@ func (ev *Evaluator) buildSemi(p *semiPlan) error {
 	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
 		return err
 	}
-	idx, err := ev.buildIndex(p.r.Rows(), p.rCols, p.size, p.fuse)
+	idx, err := ev.buildIndex(&p.rKeys, p.size, p.fuse, p.trivial)
 	if err != nil {
 		return err
 	}
@@ -621,7 +806,8 @@ func (ev *Evaluator) reverseSemi(p *semiPlan, lRows []table.Row) ([]table.Row, e
 	if err := ev.gov.Fault(guard.SiteHashBuild); err != nil {
 		return nil, err
 	}
-	idx, err := ev.buildIndex(lRows, p.lCols, len(lRows), nil)
+	lKeys := rowKeys(lRows, p.lCols)
+	idx, err := ev.buildIndex(&lKeys, len(lRows), nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -632,6 +818,11 @@ func (ev *Evaluator) reverseSemi(p *semiPlan, lRows []table.Row) ([]table.Row, e
 	ev.note("hash %s [%d keys] build=probe-side %d rows, scan %d (slim=%v numkey=%v fused=%v)",
 		p.name, len(p.lCols), len(lRows), p.r.Len(), p.slim, idx.numeric(), p.fuse != nil)
 
+	// The scan runs even when idx is empty, unlike the other probe
+	// loops (skipProbe): skipping it saves the original query a pass
+	// that the translated query's filters over the same relation still
+	// make, and on Figure 4's naive plans that pushes Q1's price of
+	// correctness from about 1.9 to about 2.6.
 	rRows := p.r.Rows()
 	parts := make([][]semiHit, ev.opts.workers())
 	err = ev.runChunks(len(rRows), "semijoin/probe", func(c *chunk) error {
@@ -644,12 +835,12 @@ func (ev *Evaluator) reverseSemi(p *semiPlan, lRows []table.Row) ([]table.Row, e
 				return nil
 			}
 			c.st.costUnits++
-			b := idx.bucket(rRows[j], p.rCols, &c.key)
+			b := idx.bucket(&p.rKeys, j, &c.key)
 			if b < 0 {
 				continue
 			}
 			if p.fuse != nil {
-				if v, err := ev.evalCond(p.fuse, rRows[j]); err != nil {
+				if v, err := p.fuse(rRows[j]); err != nil {
 					return err
 				} else if !v.IsTrue() {
 					continue // rejected by the fused filter, like the standalone one
@@ -687,12 +878,12 @@ func (ev *Evaluator) reverseSemi(p *semiPlan, lRows []table.Row) ([]table.Row, e
 					live[h.bucket] = 0
 					continue
 				}
-				copy(row[p.nL:], rRows[h.r])
+				p.setR(row, rRows[h.r])
 				left := cands[:0]
 				for _, i := range cands {
 					c.st.costUnits++
-					copy(row, lRows[i])
-					v, err := ev.evalCond(p.cond, row)
+					p.setL(row, lRows[i])
+					v, err := p.verify(row)
 					if err != nil {
 						return err
 					}
@@ -711,32 +902,43 @@ func (ev *Evaluator) reverseSemi(p *semiPlan, lRows []table.Row) ([]table.Row, e
 	if err != nil {
 		return nil, err
 	}
-	var out []table.Row
-	for i, lr := range lRows {
-		if matched[i] != p.anti {
-			out = append(out, lr)
-		}
+	for i := range matched {
+		matched[i] = matched[i] != p.anti // now: row i is in the answer
 	}
-	return out, nil
+	return gather(ev.gov, lRows, 1, matched)
 }
 
-// semiMatch probes one row against the plan. row is the caller-owned
-// scratch buffer for candidate verification (one per worker); c
-// supplies the partition's cost counters.
-func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lr table.Row) (bool, error) {
+// setL copies into the scratch row the probe-row columns cond reads.
+func (p *semiPlan) setL(row, lr table.Row) {
+	for _, c := range p.lUsed {
+		row[c] = lr[c]
+	}
+}
+
+// setR copies into the scratch row the r-row columns cond reads.
+func (p *semiPlan) setR(row, rr table.Row) {
+	for _, c := range p.rUsed {
+		row[p.nL+c] = rr[c]
+	}
+}
+
+// semiMatch probes probe row lr, entry i of lKeys, against the plan.
+// row is the caller-owned scratch buffer for candidate verification
+// (one per worker); c supplies the partition's cost counters.
+func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lKeys *keySource, i int, lr table.Row) (bool, error) {
 	if p.idx != nil {
 		c.st.costUnits++
-		cands := p.idx.lookup(lr, p.lCols, &c.key)
+		cands := p.idx.lookup(lKeys, i, &c.key)
 		if p.trivial {
 			// Slim verify with empty residual: key presence alone
 			// decides the match.
 			return len(cands) > 0, nil
 		}
-		copy(row, lr)
+		p.setL(row, lr)
 		for _, ri := range cands {
 			c.st.costUnits++
-			copy(row[p.nL:], p.r.Row(int(ri)))
-			v, err := ev.evalCond(p.cond, row)
+			p.setR(row, p.r.Row(int(ri)))
+			v, err := p.verify(row)
 			if err != nil {
 				return false, err
 			}
@@ -746,11 +948,16 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lr table.Ro
 		}
 		return false, nil
 	}
-	copy(row, lr)
+	p.setL(row, lr)
 	for _, rr := range p.r.Rows() {
+		// The quadratic loop of Section 7 polls inside one probe row
+		// too: |r| verifications per row can be long.
+		if c.stopped() {
+			return false, c.err
+		}
 		c.st.costUnits++
-		copy(row[p.nL:], rr)
-		v, err := ev.evalCond(p.cond, row)
+		p.setR(row, rr)
+		v, err := p.verify(row)
 		if err != nil {
 			return false, err
 		}
@@ -764,40 +971,43 @@ func (ev *Evaluator) semiMatch(p *semiPlan, c *chunk, row table.Row, lr table.Ro
 // probeSemi probes lRows against the plan and returns the qualifying
 // rows in input order. The probe rows are independent, so the scan
 // partitions across workers — the single largest lever on the
-// Figure 4 / Q⁺4 cost — and partition outputs concatenate in order,
-// keeping results deterministic at any Parallelism.
+// Figure 4 / Q⁺4 cost — recording each row's verdict; one gather then
+// writes the answer at its exact size, keeping results deterministic
+// at any Parallelism.
 func (ev *Evaluator) probeSemi(p *semiPlan, lRows []table.Row) ([]table.Row, error) {
-	chunks := make([][]table.Row, ev.opts.workers())
+	if p.idx != nil && p.idx.empty() {
+		// Every probe misses: skip the loop, charge it all the same.
+		if err := ev.skipProbe("semijoin/probe", len(lRows)); err != nil {
+			return nil, err
+		}
+		if !p.anti {
+			return nil, nil
+		}
+		return append(make([]table.Row, 0, len(lRows)), lRows...), nil
+	}
+	lKeys := rowKeys(lRows, p.lCols)
+	keep := make([]bool, len(lRows))
 	err := ev.runChunks(len(lRows), "semijoin/probe", func(c *chunk) error {
 		if err := c.fault(guard.SiteSemijoinProbe); err != nil {
 			return err
 		}
-		var out []table.Row
 		row := make(table.Row, p.nL+p.r.Arity())
 		for i := c.lo; i < c.hi; i++ {
 			if c.stopped() {
 				return nil
 			}
-			lr := lRows[i]
-			match, err := ev.semiMatch(p, c, row, lr)
+			match, err := ev.semiMatch(p, c, row, &lKeys, i, lRows[i])
 			if err != nil {
 				return err
 			}
-			if match != p.anti {
-				out = append(out, lr)
-			}
+			keep[i] = match != p.anti
 		}
-		chunks[c.part] = out
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []table.Row
-	for _, ch := range chunks {
-		out = append(out, ch...)
-	}
-	return out, nil
+	return gather(ev.gov, lRows, 1, keep)
 }
 
 // semiExists answers an uncorrelated subquery once: the condition
@@ -814,6 +1024,7 @@ func (ev *Evaluator) semiExists(nL int, rExpr algebra.Expr, cond algebra.Cond) (
 	if cond, err = ev.resolveScalars(cond); err != nil {
 		return false, err
 	}
+	holds := ev.compileCond(cond)
 	exists := false
 	row := make(table.Row, nL+r.Arity())
 	for _, rr := range r.Rows() {
@@ -822,7 +1033,7 @@ func (ev *Evaluator) semiExists(nL int, rExpr algebra.Expr, cond algebra.Cond) (
 			return false, err
 		}
 		copy(row[nL:], rr)
-		v, err := ev.evalCond(cond, row)
+		v, err := holds(row)
 		if err != nil {
 			return false, err
 		}
@@ -871,11 +1082,7 @@ func (ev *Evaluator) evalSemiJoin(e algebra.SemiJoin) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := table.New(nL)
-	out.Grow(len(rows))
-	for _, r := range rows {
-		out.Append(r)
-	}
+	out := table.FromRows(nL, rows)
 	ev.note("%s %d vs %d -> %d rows", p.name, l.Len(), p.r.Len(), out.Len())
 	return out, nil
 }

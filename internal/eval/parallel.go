@@ -25,7 +25,7 @@ import (
 // Parallelism.
 //
 // Workers never touch the evaluator's mutable state: they may only call
-// evalCond (after resolveScalars has substituted scalar subqueries on the
+// compiled conditions (after resolveScalars has substituted scalar subqueries on the
 // coordinating goroutine), accumulate counters in their chunkStats
 // share, and append to their own output buffer. Trace notes are emitted
 // by the coordinator only.
@@ -214,30 +214,32 @@ func (ev *Evaluator) runChunksOpt(n int, op string, precharged bool, body func(c
 	return nil
 }
 
-// concatChunks assembles per-partition row buffers into one table in
-// partition order, preserving the sequential output order exactly. The
-// merge touches every output row after the workers have already
-// finished, so it is a drain loop in its own right: it polls the
-// governor (amortized) so a cancellation that lands between the
-// parallel phase and the merge still stops the query instead of paying
-// for the full assembly.
-func concatChunks(gov *guard.Governor, arity int, chunks [][]table.Row) (*table.Table, error) {
+// gather returns the entries of src whose keep flag is set, in input
+// order, in one slice of their exact size. An entry is width
+// consecutive elements of src: a row (width 1) or a join block's row-id
+// tuple. Kernels record verdicts in keep during their parallel phase
+// and gather once, so no per-partition buffer grows and no second
+// concatenation copies it. The gather touches every entry after the
+// workers have finished, so it is a drain loop in its own right: it
+// polls the governor (amortized) so a cancellation that lands between
+// the parallel phase and the merge still stops the query instead of
+// paying for the full assembly.
+func gather[T any](gov *guard.Governor, src []T, width int, keep []bool) ([]T, error) {
 	n := 0
-	for _, c := range chunks {
-		n += len(c)
+	for _, k := range keep {
+		if k {
+			n++
+		}
 	}
-	out := table.New(arity)
-	out.Grow(n)
-	appended := 0
-	for _, c := range chunks {
-		for _, r := range c {
-			if appended&1023 == 0 {
-				if err := gov.Poll("concat-chunks"); err != nil {
-					return nil, err
-				}
+	out := make([]T, 0, n*width)
+	for i, k := range keep {
+		if i&1023 == 0 {
+			if err := gov.Poll("gather"); err != nil {
+				return nil, err
 			}
-			out.Append(r)
-			appended++
+		}
+		if k {
+			out = append(out, src[i*width:(i+1)*width]...)
 		}
 	}
 	return out, nil
@@ -362,35 +364,36 @@ func condHasScalar(c algebra.Cond) bool {
 
 // filterTable returns the rows of t satisfying cond, scanning
 // partitions of t in parallel. This is the executor's generic filter —
-// the σ fallback of evalSelect, the per-leaf and residual filter stages
-// of planJoinBlock all route through it.
+// the σ fallback of evalSelect and the per-leaf filter stage of
+// planJoinBlock route through it.
 func (ev *Evaluator) filterTable(t *table.Table, cond algebra.Cond) (*table.Table, error) {
 	cond, err := ev.resolveScalars(cond)
 	if err != nil {
 		return nil, err
 	}
+	holds := ev.compileCond(cond)
 	rows := t.Rows()
-	chunks := make([][]table.Row, ev.opts.workers())
+	keep := make([]bool, len(rows))
 	err = ev.runChunks(t.Len(), "filter", func(c *chunk) error {
-		var out []table.Row
 		for i := c.lo; i < c.hi; i++ {
 			if c.stopped() {
 				return nil
 			}
 			c.st.costUnits++
-			v, err := ev.evalCond(cond, rows[i])
+			v, err := holds(rows[i])
 			if err != nil {
 				return err
 			}
-			if v.IsTrue() {
-				out = append(out, rows[i])
-			}
+			keep[i] = v.IsTrue()
 		}
-		chunks[c.part] = out
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return concatChunks(ev.gov, t.Arity(), chunks)
+	out, err := gather(ev.gov, rows, 1, keep)
+	if err != nil {
+		return nil, err
+	}
+	return table.FromRows(t.Arity(), out), nil
 }

@@ -401,13 +401,11 @@ func (ev *Evaluator) drain(op string, it iter) (t *table.Table, err error) {
 			return nil, err
 		}
 	}
-	out := table.New(it.arity())
-	out.Grow(n)
+	rows := make([]table.Row, 0, n)
 	for _, b := range batches {
-		for _, r := range b {
-			out.Append(r)
-		}
+		rows = append(rows, b...)
 	}
+	out := table.FromRows(it.arity(), rows)
 	ev.trackMem(out, charged)
 	ev.note("%s ~> %d rows", iterName(it), out.Len())
 	return out, nil

@@ -3,6 +3,7 @@ package experiment_test
 import (
 	"context"
 	"errors"
+	"sort"
 	"testing"
 
 	"certsql/internal/eval"
@@ -51,33 +52,49 @@ func TestFigure1Shape(t *testing.T) {
 
 // TestFigure4Shape runs a miniature Figure 4 and checks the paper's
 // three behaviours: Q1/Q3 cheap, Q2 dramatically faster, Q4 slower but
-// bounded.
+// bounded. The ratios divide wall times of millisecond queries, so one
+// run can catch a scheduler stall or a garbage collection on either
+// side; the experiment runs three times and each query's median ratio
+// per null rate is held to the bounds.
 func TestFigure4Shape(t *testing.T) {
-	rows, err := experiment.Figure4(context.Background(), experiment.Figure4Config{
-		NullRates:  []float64{0.02, 0.04},
-		Instances:  1,
-		ParamDraws: 2,
-		Repeats:    2,
-		Scale:      0.002,
-		Seed:       2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	const runs = 3
+	var all [runs][]experiment.Figure4Row
+	for i := range all {
+		rows, err := experiment.Figure4(context.Background(), experiment.Figure4Config{
+			NullRates:  []float64{0.02, 0.04},
+			Instances:  1,
+			ParamDraws: 2,
+			Repeats:    2,
+			Scale:      0.002,
+			Seed:       2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all[i] = rows
+		t.Logf("run %d:\n%s", i+1, experiment.RenderFigure4(rows))
 	}
-	for _, r := range rows {
-		if v := r.RelPerf[tpch.Q2]; v > 0.8 {
-			t.Errorf("Q2 relative perf %.3f at %.0f%%, expected well below 1 (paper: ~10⁻³)", v, 100*r.NullRate)
+	median := func(r int, q tpch.QueryID) float64 {
+		var vs [runs]float64
+		for i := range all {
+			vs[i] = all[i][r].RelPerf[q]
+		}
+		sort.Float64s(vs[:])
+		return vs[runs/2]
+	}
+	for r, row := range all[0] {
+		if v := median(r, tpch.Q2); v > 0.8 {
+			t.Errorf("Q2 relative perf %.3f at %.0f%%, expected well below 1 (paper: ~10⁻³)", v, 100*row.NullRate)
 		}
 		for _, q := range []tpch.QueryID{tpch.Q1, tpch.Q3} {
-			if v := r.RelPerf[q]; v > 2.5 {
-				t.Errorf("%s relative perf %.3f at %.0f%%, expected near 1", q, v, 100*r.NullRate)
+			if v := median(r, q); v > 2.5 {
+				t.Errorf("%s relative perf %.3f at %.0f%%, expected near 1", q, v, 100*row.NullRate)
 			}
 		}
-		if v := r.RelPerf[tpch.Q4]; v > 25 {
+		if v := median(r, tpch.Q4); v > 25 {
 			t.Errorf("Q4 relative perf %.3f, expected bounded overhead", v)
 		}
 	}
-	t.Log("\n" + experiment.RenderFigure4(rows))
 }
 
 // TestRecallIs100 checks the paper's headline recall result: Q⁺ returns

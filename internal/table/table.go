@@ -34,13 +34,21 @@ type Table struct {
 // New returns an empty table of the given arity.
 func New(arity int) *Table { return &Table{arity: arity, gen: genCounter.Add(1)} }
 
-// FromRows builds a table from rows, all of which must share the arity.
+// FromRows builds a table over rows, all of which must have the given
+// arity; it panics otherwise — a programming error. The table takes
+// ownership of the slice: it aliases rows instead of copying them, so
+// the caller must neither modify the slice afterwards nor keep
+// appending to it. This is the one constructor that aliases its
+// argument; Append and Database.Clone never share a caller's slice. The
+// table gets one generation for the whole bulk build, where Append
+// assigns one per row.
 func FromRows(arity int, rows []Row) *Table {
-	t := New(arity)
 	for _, r := range rows {
-		t.Append(r)
+		if len(r) != arity {
+			panic(fmt.Sprintf("table: building a table of arity %d from a row of arity %d", arity, len(r)))
+		}
 	}
-	return t
+	return &Table{arity: arity, gen: genCounter.Add(1), rows: rows}
 }
 
 // Arity returns the number of columns.

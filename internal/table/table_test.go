@@ -314,6 +314,81 @@ func TestFromRowsAndGrow(t *testing.T) {
 	}
 }
 
+// TestFromRowsOwnership checks FromRows' contract: it checks every
+// row's arity, assigns one fresh generation to the whole bulk build,
+// and aliases the caller's slice — the one constructor documented to —
+// while Append and Database.Clone copy the row-pointer slice.
+func TestFromRowsOwnership(t *testing.T) {
+	rows := []Row{{value.Int(1)}, {value.Int(2)}, {value.Int(3)}}
+	before := New(1).Generation()
+	tab := FromRows(1, rows)
+	if tab.Generation() <= before {
+		t.Errorf("generation %d not fresh (a table made before has %d)", tab.Generation(), before)
+	}
+	if next := New(1).Generation(); next != tab.Generation()+1 {
+		t.Errorf("a 3-row FromRows consumed %d generations, want 1", next-tab.Generation())
+	}
+	rows[1] = Row{value.Int(9)}
+	if tab.Row(1)[0] != value.Int(9) {
+		t.Error("FromRows copied the caller's slice; its doc says it takes ownership")
+	}
+
+	// Append copies into the table's own slice.
+	src := []Row{{value.Int(1)}}
+	app := New(1)
+	for _, r := range src {
+		app.Append(r)
+	}
+	src[0] = Row{value.Int(9)}
+	if app.Row(0)[0] != value.Int(1) {
+		t.Error("Append aliased the caller's slice")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("FromRows accepted a row of the wrong arity")
+		}
+	}()
+	FromRows(2, []Row{{value.Int(1), value.Int(2)}, {value.Int(3)}})
+}
+
+// TestGenerationTracksMutation checks the generation contract the
+// statistics cache keys on: every mutation — Append, SetRow, and
+// appending to a FromRows table — assigns a fresh generation, and
+// Database.Clone preserves it until the clone itself is mutated.
+func TestGenerationTracksMutation(t *testing.T) {
+	seen := map[uint64]bool{}
+	fresh := func(what string, g uint64) {
+		t.Helper()
+		if seen[g] {
+			t.Errorf("%s: generation %d reused", what, g)
+		}
+		seen[g] = true
+	}
+	tab := FromRows(2, []Row{{value.Int(1), value.Str("a")}})
+	fresh("FromRows", tab.Generation())
+	tab.Append(Row{value.Int(2), value.Str("b")})
+	fresh("Append after FromRows", tab.Generation())
+	tab.SetRow(0, Row{value.Int(3), value.Str("c")})
+	fresh("SetRow", tab.Generation())
+
+	db := NewDatabase(testSchema())
+	if err := db.Insert("t", Row{value.Int(1), value.Str("x")}); err != nil {
+		t.Fatal(err)
+	}
+	orig := db.MustTable("t").Generation()
+	fresh("Insert", orig)
+	clone := db.Clone()
+	if g := clone.MustTable("t").Generation(); g != orig {
+		t.Errorf("Clone changed the generation: %d, original %d", g, orig)
+	}
+	clone.MustTable("t").Append(Row{value.Int(2), value.Str("y")})
+	fresh("Append to a clone", clone.MustTable("t").Generation())
+	if db.MustTable("t").Generation() != orig {
+		t.Error("mutating a clone changed the original's generation")
+	}
+}
+
 // TestTableQuickProperties uses testing/quick on the core set
 // operations: Distinct is idempotent, KeySet size matches Distinct
 // length, and Contains agrees with KeySet membership.
